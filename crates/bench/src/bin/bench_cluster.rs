@@ -25,7 +25,7 @@ use pensieve_cluster::{ReplicationConfig, ReplicationMode, Router, RouterConfig,
 use pensieve_core::{EngineConfig, Request, RequestId, ServingBackend, SimServingEngine};
 use pensieve_kvcache::SessionId;
 use pensieve_model::{HardwareSpec, ModelConfig, SimDuration, SimTime};
-use pensieve_obs::{to_jsonl, SharedRecorder};
+use pensieve_obs::{trace_hash, SharedRecorder};
 use pensieve_workload::dataset::DatasetSpec;
 use pensieve_workload::driver::run_closed_loop;
 use pensieve_workload::metrics::LatencySummary;
@@ -65,15 +65,6 @@ struct ClusterResults {
     deterministic: bool,
 }
 
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 fn spec() -> PointSpec {
     PointSpec {
         engine: EngineConfig::pensieve(),
@@ -105,7 +96,6 @@ fn run_policy(policy: RouterPolicy) -> ClusterRow {
             .map(|r| r.prefill_tokens as u64)
             .sum::<u64>();
     let events = recorder.take_events();
-    let trace = to_jsonl(&events);
     ClusterRow {
         policy: policy.name().to_owned(),
         replicas: REPLICAS,
@@ -121,7 +111,7 @@ fn run_policy(policy: RouterPolicy) -> ClusterRow {
         migrated_tokens: cluster.migrated_tokens(),
         migration_lost_tokens: cluster.migration_lost_tokens(),
         trace_events: events.len(),
-        trace_hash: format!("{:016x}", fnv1a(trace.as_bytes())),
+        trace_hash: format!("{:016x}", trace_hash(&events)),
     }
 }
 
@@ -295,7 +285,6 @@ fn run_failover(mode: ReplicationMode, threshold: usize) -> FailoverRow {
     );
 
     let events = recorder.take_events();
-    let trace = to_jsonl(&events);
     let mode_name = match mode {
         ReplicationMode::Disabled => "disabled",
         ReplicationMode::Async => "async",
@@ -313,7 +302,7 @@ fn run_failover(mode: ReplicationMode, threshold: usize) -> FailoverRow {
         cached_history_tokens: resp.cached_history_tokens,
         prefill_tokens: resp.prefill_tokens,
         trace_events: events.len(),
-        trace_hash: format!("{:016x}", fnv1a(trace.as_bytes())),
+        trace_hash: format!("{:016x}", trace_hash(&events)),
     }
 }
 

@@ -13,8 +13,8 @@
 //!   modeled critical-path speedup of the replica-stepping phase:
 //!   `sum(partition time) / max(partition time)`, the number an
 //!   unconstrained machine would see. CI containers expose one core, so
-//!   wall-clock is reported for context but never gated. `modeled_wall_s`
-//!   re-prices the whole run with stepping at critical-path cost.
+//!   wall-clock is reported for context but never gated, and never
+//!   combined with the modeled numbers.
 //!
 //! ```text
 //! cargo run --release -p pensieve-bench --bin bench_cluster_scaling
@@ -32,7 +32,7 @@ use pensieve_cluster::{ReplicationConfig, ReplicationMode, Router, RouterConfig,
 use pensieve_core::{EngineConfig, Request, RequestId, Response, ServingBackend, SimServingEngine};
 use pensieve_kvcache::SessionId;
 use pensieve_model::{HardwareSpec, ModelConfig, SimDuration, SimTime};
-use pensieve_obs::{to_jsonl, SharedRecorder};
+use pensieve_obs::{trace_hash, SharedRecorder};
 use pensieve_sim::{FaultSchedule, NodeLinkSpec};
 use serde::Serialize;
 
@@ -60,9 +60,6 @@ struct ScalingPoint {
     /// `modeled_serial_s / modeled_critical_s` — stepping-phase speedup
     /// on an unconstrained machine. 1.0 for the serial pool.
     modeled_stepping_speedup: f64,
-    /// Wall time with the stepping phase re-priced at critical-path
-    /// cost: `wall_s - modeled_serial_s + modeled_critical_s`.
-    modeled_wall_s: f64,
     /// FNV-1a hash of the merged JSONL event trace.
     trace_hash: String,
     /// Events in the merged trace.
@@ -81,15 +78,6 @@ struct Report {
     deterministic: bool,
     /// The 4-thread modeled stepping speedup cleared the 2x floor.
     meets_2x_modeled: bool,
-}
-
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 fn fault_seed() -> u64 {
@@ -193,8 +181,7 @@ fn run_at_width(width: usize) -> ScalingPoint {
         } else {
             1.0
         },
-        modeled_wall_s: wall_s - modeled_serial_s + modeled_critical_s,
-        trace_hash: format!("{:016x}", fnv1a(to_jsonl(&events).as_bytes())),
+        trace_hash: format!("{:016x}", trace_hash(&events)),
         trace_events: events.len(),
         completed: responses.len(),
     }
@@ -234,13 +221,7 @@ fn main() {
     };
 
     print_table(
-        &[
-            "threads",
-            "wall s",
-            "modeled step x",
-            "modeled wall s",
-            "trace hash",
-        ],
+        &["threads", "wall s", "modeled step x", "trace hash"],
         &report
             .points
             .iter()
@@ -249,7 +230,6 @@ fn main() {
                     p.threads.to_string(),
                     format!("{:.2}", p.wall_s),
                     format!("{:.2}", p.modeled_stepping_speedup),
-                    format!("{:.2}", p.modeled_wall_s),
                     p.trace_hash.clone(),
                 ]
             })

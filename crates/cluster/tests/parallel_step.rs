@@ -15,7 +15,7 @@ use pensieve_cluster::{ReplicationConfig, ReplicationMode, Router, RouterConfig,
 use pensieve_core::{EngineConfig, Request, RequestId, Response, ServingBackend, SimServingEngine};
 use pensieve_kvcache::SessionId;
 use pensieve_model::{HardwareSpec, ModelConfig, SimDuration, SimTime};
-use pensieve_obs::{to_jsonl, SharedRecorder};
+use pensieve_obs::{trace_hash, SharedRecorder};
 use pensieve_sim::{FaultSchedule, NodeLinkSpec};
 
 const REPLICAS: usize = 64;
@@ -35,16 +35,6 @@ fn fault_seed() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(1)
-}
-
-/// FNV-1a over the JSONL trace — the same pin `bench_cluster` uses.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
 }
 
 fn req(id: u64, conv: u64, at: SimTime, prompt: usize, out: usize, hist: usize) -> Request {
@@ -147,7 +137,7 @@ fn run_at_width(width: usize) -> (u64, Vec<TurnOutput>, usize) {
     outputs.sort_unstable();
 
     let events = sink.events();
-    (fnv1a(to_jsonl(&events).as_bytes()), outputs, events.len())
+    (trace_hash(&events), outputs, events.len())
 }
 
 /// The headline pin: a wide pool reproduces the serial trace and the

@@ -135,7 +135,10 @@ impl fmt::Display for CacheError {
                 write!(f, "release without matching acquire on shared chunk {id:?}")
             }
             CacheError::BrokenSharedChain(id) => {
-                write!(f, "shared chunk {id:?} breaks its chain's context continuity")
+                write!(
+                    f,
+                    "shared chunk {id:?} breaks its chain's context continuity"
+                )
             }
         }
     }
@@ -2224,7 +2227,10 @@ impl TieredKvCache {
             s.refs += 1;
             s.external_refs += 1;
             s.last_active = now;
-            handles.push(ChunkHandle { id: *id, armed: true });
+            handles.push(ChunkHandle {
+                id: *id,
+                armed: true,
+            });
         }
         debug_assert!(self.check_invariants());
         Ok(handles)
@@ -2391,10 +2397,8 @@ impl TieredKvCache {
         // token bytes — deterministic across replicas and reruns.
         let mut promoted = Vec::with_capacity(private.len());
         for (i, c) in private.iter().enumerate() {
-            let id = ChunkId::derive_words(
-                prev,
-                &[parent.0, (chain.len() + i) as u64, c.tokens as u64],
-            );
+            let id =
+                ChunkId::derive_words(prev, &[parent.0, (chain.len() + i) as u64, c.tokens as u64]);
             context_end += c.tokens;
             promoted.push((id, *c));
             prev = id;
@@ -3245,7 +3249,10 @@ mod tests {
             cache.attach_shared(SessionId(2), &reversed, t(0.4)),
             Err(CacheError::BrokenSharedChain(_))
         ));
-        assert!(!cache.contains(SessionId(2)), "failed attach mutates nothing");
+        assert!(
+            !cache.contains(SessionId(2)),
+            "failed attach mutates nothing"
+        );
     }
 
     #[test]

@@ -10,13 +10,13 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A span of simulated time, in seconds.
 ///
 /// Durations are always finite and non-negative; constructors debug-assert
-/// this invariant.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+/// this invariant and deserialization rejects input that breaks it.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
 pub struct SimDuration(f64);
 
 impl SimDuration {
@@ -153,7 +153,9 @@ impl fmt::Display for SimDuration {
 }
 
 /// An instant on the simulated clock, in seconds since simulation start.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+///
+/// Like [`SimDuration`], always finite and non-negative.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
 pub struct SimTime(f64);
 
 impl SimTime {
@@ -235,6 +237,31 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// Decodes seconds, rejecting the negative and non-finite values the
+/// [`SimDuration`] and [`SimTime`] constructors only debug-assert against.
+fn secs_from_value(v: &Value, what: &str) -> Result<f64, DeError> {
+    let secs = f64::from_value(v)?;
+    if secs.is_finite() && secs >= 0.0 {
+        Ok(secs)
+    } else {
+        Err(DeError::custom(format!(
+            "invalid {what} {secs}: must be finite and non-negative"
+        )))
+    }
+}
+
+impl Deserialize for SimDuration {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        secs_from_value(v, "duration").map(SimDuration)
+    }
+}
+
+impl Deserialize for SimTime {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        secs_from_value(v, "time").map(SimTime)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,5 +316,28 @@ mod tests {
     fn sum_of_durations() {
         let total: SimDuration = (1..=4).map(|i| SimDuration::from_secs(f64::from(i))).sum();
         assert_eq!(total.as_secs(), 10.0);
+    }
+
+    #[test]
+    fn deserialize_rejects_negative_and_non_finite() {
+        let ok = Value::Number(1.5);
+        assert_eq!(SimTime::from_value(&ok), Ok(SimTime::from_secs(1.5)));
+        assert_eq!(
+            SimDuration::from_value(&ok),
+            Ok(SimDuration::from_secs(1.5))
+        );
+        assert_eq!(
+            SimTime::from_value(&SimTime::ZERO.to_value()),
+            Ok(SimTime::ZERO)
+        );
+        for bad in [-1.0, -1e-9, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let v = Value::Number(bad);
+            assert!(SimTime::from_value(&v).is_err(), "time {bad} accepted");
+            assert!(
+                SimDuration::from_value(&v).is_err(),
+                "duration {bad} accepted"
+            );
+        }
+        assert!(SimTime::from_value(&Value::String("1".into())).is_err());
     }
 }

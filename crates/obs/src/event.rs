@@ -6,18 +6,21 @@
 //! *below* the runtime crates in the dependency graph: the hot path
 //! depends on `obs`, never the other way around.
 //!
-//! Serialization is hand-written (the vendored `serde_derive` shim only
-//! supports named-field structs and unit enums): each event becomes a
-//! JSON object whose `"ev"` field is the variant name and whose remaining
-//! fields are the variant's payload. [`TraceEvent::from_value`] is strict
-//! — an unknown `"ev"` or a missing/mistyped field is an error — which is
-//! what `trace_report` uses to validate a JSONL log against the schema.
+//! Serialization is derived: [`TraceEvent`] is internally tagged
+//! (`#[serde(tag = "ev")]`), so each event becomes one flat JSON object
+//! whose `"ev"` field is the variant name and whose remaining fields are
+//! the variant's payload; the unit enums encode as kebab-case strings
+//! (`SwapInFault` → `"swap-in-fault"`). Decoding is strict — an unknown
+//! `"ev"` or enum string, a missing or mistyped field, a negative
+//! timestamp or a non-object is an error — which is what `trace_report`
+//! uses to validate a JSONL log against the schema.
 
 use pensieve_model::{SimDuration, SimTime};
-use serde::{DeError, Deserialize, Map, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Transfer direction of a swap DMA over the PCIe link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum SwapDir {
     /// CPU → GPU (swap-in / retrieval).
     In,
@@ -26,7 +29,7 @@ pub enum SwapDir {
 }
 
 impl SwapDir {
-    /// Stable wire name.
+    /// Display name, equal to the serialized wire string.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -34,18 +37,11 @@ impl SwapDir {
             SwapDir::Out => "out",
         }
     }
-
-    fn parse(s: &str) -> Result<Self, DeError> {
-        match s {
-            "in" => Ok(SwapDir::In),
-            "out" => Ok(SwapDir::Out),
-            other => Err(DeError::custom(format!("unknown swap dir {other:?}"))),
-        }
-    }
 }
 
 /// Why a chunk's CPU-tier copy (or the chunk itself) was discarded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum DropReason {
     /// The CPU tier was full and the policy chose this chunk.
     CpuPressure,
@@ -64,7 +60,7 @@ pub enum DropReason {
 }
 
 impl DropReason {
-    /// Stable wire name.
+    /// Display name, equal to the serialized wire string.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -76,23 +72,12 @@ impl DropReason {
             DropReason::ColdReadFault => "cold-read-fault",
         }
     }
-
-    fn parse(s: &str) -> Result<Self, DeError> {
-        match s {
-            "cpu-pressure" => Ok(DropReason::CpuPressure),
-            "host-loss" => Ok(DropReason::HostLoss),
-            "host-corruption" => Ok(DropReason::HostCorruption),
-            "swap-in-fault" => Ok(DropReason::SwapInFault),
-            "cold-pressure" => Ok(DropReason::ColdPressure),
-            "cold-read-fault" => Ok(DropReason::ColdReadFault),
-            other => Err(DeError::custom(format!("unknown drop reason {other:?}"))),
-        }
-    }
 }
 
 /// A host-side storage tier of the deep cache hierarchy (the GPU tier is
 /// never a demotion source or target, so it does not appear here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum StorageTier {
     /// Tier 1: host DRAM (the paper's CPU cache).
     Cpu,
@@ -103,7 +88,7 @@ pub enum StorageTier {
 }
 
 impl StorageTier {
-    /// Stable wire name.
+    /// Display name, equal to the serialized wire string.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -112,19 +97,11 @@ impl StorageTier {
             StorageTier::Cold => "cold",
         }
     }
-
-    fn parse(s: &str) -> Result<Self, DeError> {
-        match s {
-            "cpu" => Ok(StorageTier::Cpu),
-            "ssd" => Ok(StorageTier::Ssd),
-            "cold" => Ok(StorageTier::Cold),
-            other => Err(DeError::custom(format!("unknown storage tier {other:?}"))),
-        }
-    }
 }
 
 /// Which fault-recovery path the engine exercised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum RecoveryKind {
     /// A swap-in DMA failed or timed out and was retried after backoff.
     SwapInRetry,
@@ -145,7 +122,7 @@ pub enum RecoveryKind {
 }
 
 impl RecoveryKind {
-    /// Stable wire name.
+    /// Display name, equal to the serialized wire string.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -157,25 +134,14 @@ impl RecoveryKind {
             RecoveryKind::TornManifest => "torn-manifest",
         }
     }
-
-    fn parse(s: &str) -> Result<Self, DeError> {
-        match s {
-            "swap-in-retry" => Ok(RecoveryKind::SwapInRetry),
-            "recompute-fallback" => Ok(RecoveryKind::RecomputeFallback),
-            "gpu-alloc-fault" => Ok(RecoveryKind::GpuAllocFault),
-            "worker-stall" => Ok(RecoveryKind::WorkerStall),
-            "cold-read-fallback" => Ok(RecoveryKind::ColdReadFallback),
-            "torn-manifest" => Ok(RecoveryKind::TornManifest),
-            other => Err(DeError::custom(format!("unknown recovery kind {other:?}"))),
-        }
-    }
 }
 
 /// One structured event recorded by the serving stack.
 ///
 /// See `docs/OBSERVABILITY.md` for the full reference of every variant's
 /// meaning and wire format.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "ev")]
 pub enum TraceEvent {
     /// A scheduler iteration began (before admission).
     IterationStart {
@@ -691,696 +657,10 @@ impl TraceEvent {
     }
 }
 
-/// Builds the `"ev"`-tagged object for one event.
-fn obj(ev: &str, fields: &[(&str, Value)]) -> Value {
-    let mut m = Map::new();
-    m.insert("ev".to_owned(), Value::String(ev.to_owned()));
-    for (k, v) in fields {
-        m.insert((*k).to_owned(), v.clone());
-    }
-    Value::Object(m)
-}
-
-fn num(x: f64) -> Value {
-    Value::Number(x)
-}
-
-fn time(t: SimTime) -> Value {
-    num(t.as_secs())
-}
-
-fn dur(d: SimDuration) -> Value {
-    num(d.as_secs())
-}
-
-fn get<'v>(v: &'v Value, key: &str) -> Result<&'v Value, DeError> {
-    v.get(key)
-        .ok_or_else(|| DeError::custom(format!("missing field {key:?}")))
-}
-
-fn f_time(v: &Value, key: &str) -> Result<SimTime, DeError> {
-    Ok(SimTime::from_secs(f64::from_value(get(v, key)?)?))
-}
-
-fn f_dur(v: &Value, key: &str) -> Result<SimDuration, DeError> {
-    Ok(SimDuration::from_secs(f64::from_value(get(v, key)?)?))
-}
-
-fn f_u64(v: &Value, key: &str) -> Result<u64, DeError> {
-    u64::from_value(get(v, key)?)
-}
-
-fn f_usize(v: &Value, key: &str) -> Result<usize, DeError> {
-    usize::from_value(get(v, key)?)
-}
-
-fn f_bool(v: &Value, key: &str) -> Result<bool, DeError> {
-    bool::from_value(get(v, key)?)
-}
-
-fn f_str(v: &Value, key: &str) -> Result<String, DeError> {
-    String::from_value(get(v, key)?)
-}
-
-impl Serialize for TraceEvent {
-    fn to_value(&self) -> Value {
-        match self {
-            TraceEvent::IterationStart {
-                at,
-                iteration,
-                running,
-                waiting,
-            } => obj(
-                "IterationStart",
-                &[
-                    ("at", time(*at)),
-                    ("iteration", num(*iteration as f64)),
-                    ("running", num(*running as f64)),
-                    ("waiting", num(*waiting as f64)),
-                ],
-            ),
-            TraceEvent::BatchComposed {
-                at,
-                iteration,
-                prefill_seqs,
-                decode_seqs,
-                prefill_tokens,
-                decode_tokens,
-            } => obj(
-                "BatchComposed",
-                &[
-                    ("at", time(*at)),
-                    ("iteration", num(*iteration as f64)),
-                    ("prefill_seqs", num(*prefill_seqs as f64)),
-                    ("decode_seqs", num(*decode_seqs as f64)),
-                    ("prefill_tokens", num(*prefill_tokens as f64)),
-                    ("decode_tokens", num(*decode_tokens as f64)),
-                ],
-            ),
-            TraceEvent::IterationEnd {
-                at,
-                iteration,
-                queue_delay,
-                compute,
-                stall,
-            } => obj(
-                "IterationEnd",
-                &[
-                    ("at", time(*at)),
-                    ("iteration", num(*iteration as f64)),
-                    ("queue_delay", dur(*queue_delay)),
-                    ("compute", dur(*compute)),
-                    ("stall", dur(*stall)),
-                ],
-            ),
-            TraceEvent::Admitted {
-                at,
-                iteration,
-                request,
-                conv,
-                resumed,
-                prompt_tokens,
-                tail_tokens,
-                shared_tokens,
-                gpu_hit_tokens,
-                revalidate_tokens,
-                swap_in_tokens,
-                recompute_tokens,
-            } => obj(
-                "Admitted",
-                &[
-                    ("at", time(*at)),
-                    ("iteration", num(*iteration as f64)),
-                    ("request", num(*request as f64)),
-                    ("conv", num(*conv as f64)),
-                    ("resumed", Value::Bool(*resumed)),
-                    ("prompt_tokens", num(*prompt_tokens as f64)),
-                    ("tail_tokens", num(*tail_tokens as f64)),
-                    ("shared_tokens", num(*shared_tokens as f64)),
-                    ("gpu_hit_tokens", num(*gpu_hit_tokens as f64)),
-                    ("revalidate_tokens", num(*revalidate_tokens as f64)),
-                    ("swap_in_tokens", num(*swap_in_tokens as f64)),
-                    ("recompute_tokens", num(*recompute_tokens as f64)),
-                ],
-            ),
-            TraceEvent::SwapStart { at, dir, bytes } => obj(
-                "SwapStart",
-                &[
-                    ("at", time(*at)),
-                    ("dir", Value::String(dir.as_str().to_owned())),
-                    ("bytes", num(*bytes as f64)),
-                ],
-            ),
-            TraceEvent::SwapEnd { at, dir, bytes } => obj(
-                "SwapEnd",
-                &[
-                    ("at", time(*at)),
-                    ("dir", Value::String(dir.as_str().to_owned())),
-                    ("bytes", num(*bytes as f64)),
-                ],
-            ),
-            TraceEvent::ChunkEvicted {
-                at,
-                conv,
-                chunk,
-                tokens,
-                dropped,
-            } => obj(
-                "ChunkEvicted",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("chunk", num(*chunk as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("dropped", Value::Bool(*dropped)),
-                ],
-            ),
-            TraceEvent::ChunkDropped {
-                at,
-                conv,
-                chunk,
-                tokens,
-                reason,
-            } => obj(
-                "ChunkDropped",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("chunk", num(*chunk as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("reason", Value::String(reason.as_str().to_owned())),
-                ],
-            ),
-            TraceEvent::ChunkDemoted {
-                at,
-                conv,
-                chunk,
-                tokens,
-                from,
-                to,
-            } => obj(
-                "ChunkDemoted",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("chunk", num(*chunk as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("from", Value::String(from.as_str().to_owned())),
-                    ("to", Value::String(to.as_str().to_owned())),
-                ],
-            ),
-            TraceEvent::Revalidated { at, conv, tokens } => obj(
-                "Revalidated",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                ],
-            ),
-            TraceEvent::SwapInCommitted { at, conv, tokens } => obj(
-                "SwapInCommitted",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                ],
-            ),
-            TraceEvent::RecomputeCommitted { at, conv, tokens } => obj(
-                "RecomputeCommitted",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                ],
-            ),
-            TraceEvent::TierReadCommitted {
-                at,
-                conv,
-                tokens,
-                tier,
-            } => obj(
-                "TierReadCommitted",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("tier", Value::String(tier.as_str().to_owned())),
-                ],
-            ),
-            TraceEvent::Suspended { at, conv, tokens } => obj(
-                "Suspended",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                ],
-            ),
-            TraceEvent::FaultRecovery {
-                at,
-                conv,
-                kind,
-                tokens,
-            } => obj(
-                "FaultRecovery",
-                &[
-                    ("at", time(*at)),
-                    ("conv", conv.map_or(Value::Null, |c| num(c as f64))),
-                    ("kind", Value::String(kind.as_str().to_owned())),
-                    ("tokens", num(*tokens as f64)),
-                ],
-            ),
-            TraceEvent::RequestCompleted {
-                at,
-                request,
-                conv,
-                arrival,
-                first_token,
-                output_tokens,
-                prefill_tokens,
-                cached_tokens,
-            } => obj(
-                "RequestCompleted",
-                &[
-                    ("at", time(*at)),
-                    ("request", num(*request as f64)),
-                    ("conv", num(*conv as f64)),
-                    ("arrival", time(*arrival)),
-                    ("first_token", time(*first_token)),
-                    ("output_tokens", num(*output_tokens as f64)),
-                    ("prefill_tokens", num(*prefill_tokens as f64)),
-                    ("cached_tokens", num(*cached_tokens as f64)),
-                ],
-            ),
-            TraceEvent::PipelinedSwapIn {
-                at,
-                bytes,
-                compute,
-                total,
-            } => obj(
-                "PipelinedSwapIn",
-                &[
-                    ("at", time(*at)),
-                    ("bytes", num(*bytes as f64)),
-                    ("compute", dur(*compute)),
-                    ("total", dur(*total)),
-                ],
-            ),
-            TraceEvent::TpPass {
-                at,
-                pass,
-                conv,
-                query_tokens,
-                shards,
-            } => obj(
-                "TpPass",
-                &[
-                    ("at", time(*at)),
-                    ("pass", num(*pass as f64)),
-                    ("conv", num(*conv as f64)),
-                    ("query_tokens", num(*query_tokens as f64)),
-                    ("shards", num(*shards as f64)),
-                ],
-            ),
-            TraceEvent::Routed {
-                at,
-                request,
-                conv,
-                replica,
-                cached_tokens,
-            } => obj(
-                "Routed",
-                &[
-                    ("at", time(*at)),
-                    ("request", num(*request as f64)),
-                    ("conv", num(*conv as f64)),
-                    ("replica", num(*replica as f64)),
-                    ("cached_tokens", num(*cached_tokens as f64)),
-                ],
-            ),
-            TraceEvent::MigrationStart {
-                at,
-                conv,
-                from,
-                to,
-                chunks,
-                bytes,
-            } => obj(
-                "MigrationStart",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("from", num(*from as f64)),
-                    ("to", num(*to as f64)),
-                    ("chunks", num(*chunks as f64)),
-                    ("bytes", num(*bytes as f64)),
-                ],
-            ),
-            TraceEvent::MigrationEnd {
-                at,
-                conv,
-                to,
-                streamed_tokens,
-                lost_tokens,
-            } => obj(
-                "MigrationEnd",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("to", num(*to as f64)),
-                    ("streamed_tokens", num(*streamed_tokens as f64)),
-                    ("lost_tokens", num(*lost_tokens as f64)),
-                ],
-            ),
-            TraceEvent::ReplicaFailed {
-                at,
-                replica,
-                requeued,
-            } => obj(
-                "ReplicaFailed",
-                &[
-                    ("at", time(*at)),
-                    ("replica", num(*replica as f64)),
-                    ("requeued", num(*requeued as f64)),
-                ],
-            ),
-            TraceEvent::ReplicationFlush {
-                at,
-                conv,
-                from,
-                to,
-                tokens,
-                bytes,
-                lost,
-            } => obj(
-                "ReplicationFlush",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("from", num(*from as f64)),
-                    ("to", num(*to as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("bytes", num(*bytes as f64)),
-                    ("lost", Value::Bool(*lost)),
-                ],
-            ),
-            TraceEvent::StandbyPromoted {
-                at,
-                conv,
-                from,
-                to,
-                replicated_tokens,
-                lag_tokens,
-                latency,
-            } => obj(
-                "StandbyPromoted",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("from", num(*from as f64)),
-                    ("to", num(*to as f64)),
-                    ("replicated_tokens", num(*replicated_tokens as f64)),
-                    ("lag_tokens", num(*lag_tokens as f64)),
-                    ("latency", dur(*latency)),
-                ],
-            ),
-            TraceEvent::LinkPartitioned { at, until } => obj(
-                "LinkPartitioned",
-                &[("at", time(*at)), ("until", time(*until))],
-            ),
-            TraceEvent::ManifestPersisted {
-                at,
-                conv,
-                tokens,
-                bytes,
-                torn,
-            } => obj(
-                "ManifestPersisted",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("bytes", num(*bytes as f64)),
-                    ("torn", Value::Bool(*torn)),
-                ],
-            ),
-            TraceEvent::SessionRehydrated {
-                at,
-                conv,
-                tokens,
-                replica,
-            } => obj(
-                "SessionRehydrated",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("replica", num(*replica as f64)),
-                ],
-            ),
-            TraceEvent::SharedAttached {
-                at,
-                conv,
-                tokens,
-                chunks,
-            } => obj(
-                "SharedAttached",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("chunks", num(*chunks as f64)),
-                ],
-            ),
-            TraceEvent::SharedChunkEvicted {
-                at,
-                chunk,
-                tokens,
-                refs,
-                dropped,
-            } => obj(
-                "SharedChunkEvicted",
-                &[
-                    ("at", time(*at)),
-                    ("chunk", num(*chunk as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("refs", num(*refs as f64)),
-                    ("dropped", Value::Bool(*dropped)),
-                ],
-            ),
-        }
-    }
-}
-
-impl Deserialize for TraceEvent {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let ev = f_str(v, "ev")?;
-        match ev.as_str() {
-            "IterationStart" => Ok(TraceEvent::IterationStart {
-                at: f_time(v, "at")?,
-                iteration: f_u64(v, "iteration")?,
-                running: f_usize(v, "running")?,
-                waiting: f_usize(v, "waiting")?,
-            }),
-            "BatchComposed" => Ok(TraceEvent::BatchComposed {
-                at: f_time(v, "at")?,
-                iteration: f_u64(v, "iteration")?,
-                prefill_seqs: f_usize(v, "prefill_seqs")?,
-                decode_seqs: f_usize(v, "decode_seqs")?,
-                prefill_tokens: f_usize(v, "prefill_tokens")?,
-                decode_tokens: f_usize(v, "decode_tokens")?,
-            }),
-            "IterationEnd" => Ok(TraceEvent::IterationEnd {
-                at: f_time(v, "at")?,
-                iteration: f_u64(v, "iteration")?,
-                queue_delay: f_dur(v, "queue_delay")?,
-                compute: f_dur(v, "compute")?,
-                stall: f_dur(v, "stall")?,
-            }),
-            "Admitted" => Ok(TraceEvent::Admitted {
-                at: f_time(v, "at")?,
-                iteration: f_u64(v, "iteration")?,
-                request: f_u64(v, "request")?,
-                conv: f_u64(v, "conv")?,
-                resumed: f_bool(v, "resumed")?,
-                prompt_tokens: f_usize(v, "prompt_tokens")?,
-                tail_tokens: f_usize(v, "tail_tokens")?,
-                shared_tokens: f_usize(v, "shared_tokens")?,
-                gpu_hit_tokens: f_usize(v, "gpu_hit_tokens")?,
-                revalidate_tokens: f_usize(v, "revalidate_tokens")?,
-                swap_in_tokens: f_usize(v, "swap_in_tokens")?,
-                recompute_tokens: f_usize(v, "recompute_tokens")?,
-            }),
-            "SwapStart" => Ok(TraceEvent::SwapStart {
-                at: f_time(v, "at")?,
-                dir: SwapDir::parse(&f_str(v, "dir")?)?,
-                bytes: f_u64(v, "bytes")?,
-            }),
-            "SwapEnd" => Ok(TraceEvent::SwapEnd {
-                at: f_time(v, "at")?,
-                dir: SwapDir::parse(&f_str(v, "dir")?)?,
-                bytes: f_u64(v, "bytes")?,
-            }),
-            "ChunkEvicted" => Ok(TraceEvent::ChunkEvicted {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                chunk: f_usize(v, "chunk")?,
-                tokens: f_usize(v, "tokens")?,
-                dropped: f_bool(v, "dropped")?,
-            }),
-            "ChunkDropped" => Ok(TraceEvent::ChunkDropped {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                chunk: f_usize(v, "chunk")?,
-                tokens: f_usize(v, "tokens")?,
-                reason: DropReason::parse(&f_str(v, "reason")?)?,
-            }),
-            "ChunkDemoted" => Ok(TraceEvent::ChunkDemoted {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                chunk: f_usize(v, "chunk")?,
-                tokens: f_usize(v, "tokens")?,
-                from: StorageTier::parse(&f_str(v, "from")?)?,
-                to: StorageTier::parse(&f_str(v, "to")?)?,
-            }),
-            "Revalidated" => Ok(TraceEvent::Revalidated {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-            }),
-            "SwapInCommitted" => Ok(TraceEvent::SwapInCommitted {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-            }),
-            "RecomputeCommitted" => Ok(TraceEvent::RecomputeCommitted {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-            }),
-            "TierReadCommitted" => Ok(TraceEvent::TierReadCommitted {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-                tier: StorageTier::parse(&f_str(v, "tier")?)?,
-            }),
-            "Suspended" => Ok(TraceEvent::Suspended {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-            }),
-            "FaultRecovery" => Ok(TraceEvent::FaultRecovery {
-                at: f_time(v, "at")?,
-                conv: Option::<u64>::from_value(get(v, "conv")?)?,
-                kind: RecoveryKind::parse(&f_str(v, "kind")?)?,
-                tokens: f_usize(v, "tokens")?,
-            }),
-            "RequestCompleted" => Ok(TraceEvent::RequestCompleted {
-                at: f_time(v, "at")?,
-                request: f_u64(v, "request")?,
-                conv: f_u64(v, "conv")?,
-                arrival: f_time(v, "arrival")?,
-                first_token: f_time(v, "first_token")?,
-                output_tokens: f_usize(v, "output_tokens")?,
-                prefill_tokens: f_usize(v, "prefill_tokens")?,
-                cached_tokens: f_usize(v, "cached_tokens")?,
-            }),
-            "PipelinedSwapIn" => Ok(TraceEvent::PipelinedSwapIn {
-                at: f_time(v, "at")?,
-                bytes: f_u64(v, "bytes")?,
-                compute: f_dur(v, "compute")?,
-                total: f_dur(v, "total")?,
-            }),
-            "TpPass" => Ok(TraceEvent::TpPass {
-                at: f_time(v, "at")?,
-                pass: f_u64(v, "pass")?,
-                conv: f_u64(v, "conv")?,
-                query_tokens: f_usize(v, "query_tokens")?,
-                shards: f_usize(v, "shards")?,
-            }),
-            "Routed" => Ok(TraceEvent::Routed {
-                at: f_time(v, "at")?,
-                request: f_u64(v, "request")?,
-                conv: f_u64(v, "conv")?,
-                replica: f_usize(v, "replica")?,
-                cached_tokens: f_usize(v, "cached_tokens")?,
-            }),
-            "MigrationStart" => Ok(TraceEvent::MigrationStart {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                from: f_usize(v, "from")?,
-                to: f_usize(v, "to")?,
-                chunks: f_usize(v, "chunks")?,
-                bytes: f_u64(v, "bytes")?,
-            }),
-            "MigrationEnd" => Ok(TraceEvent::MigrationEnd {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                to: f_usize(v, "to")?,
-                streamed_tokens: f_usize(v, "streamed_tokens")?,
-                lost_tokens: f_usize(v, "lost_tokens")?,
-            }),
-            "ReplicaFailed" => Ok(TraceEvent::ReplicaFailed {
-                at: f_time(v, "at")?,
-                replica: f_usize(v, "replica")?,
-                requeued: f_usize(v, "requeued")?,
-            }),
-            "ReplicationFlush" => Ok(TraceEvent::ReplicationFlush {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                from: f_usize(v, "from")?,
-                to: f_usize(v, "to")?,
-                tokens: f_usize(v, "tokens")?,
-                bytes: f_u64(v, "bytes")?,
-                lost: f_bool(v, "lost")?,
-            }),
-            "StandbyPromoted" => Ok(TraceEvent::StandbyPromoted {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                from: f_usize(v, "from")?,
-                to: f_usize(v, "to")?,
-                replicated_tokens: f_usize(v, "replicated_tokens")?,
-                lag_tokens: f_usize(v, "lag_tokens")?,
-                latency: f_dur(v, "latency")?,
-            }),
-            "LinkPartitioned" => Ok(TraceEvent::LinkPartitioned {
-                at: f_time(v, "at")?,
-                until: f_time(v, "until")?,
-            }),
-            "ManifestPersisted" => Ok(TraceEvent::ManifestPersisted {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-                bytes: f_u64(v, "bytes")?,
-                torn: f_bool(v, "torn")?,
-            }),
-            "SessionRehydrated" => Ok(TraceEvent::SessionRehydrated {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-                replica: f_usize(v, "replica")?,
-            }),
-            "SharedAttached" => Ok(TraceEvent::SharedAttached {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-                chunks: f_usize(v, "chunks")?,
-            }),
-            "SharedChunkEvicted" => Ok(TraceEvent::SharedChunkEvicted {
-                at: f_time(v, "at")?,
-                chunk: f_u64(v, "chunk")?,
-                tokens: f_usize(v, "tokens")?,
-                refs: f_usize(v, "refs")?,
-                dropped: f_bool(v, "dropped")?,
-            }),
-            other => Err(DeError::custom(format!("unknown event variant {other:?}"))),
-        }
-    }
-}
-
 /// One instance of every variant, in declaration order — the fixture
-/// behind the wire-format unit tests, the Chrome-trace golden file, and
-/// the docs-coverage test, and a compact reference for what each variant
-/// looks like on the wire.
+/// behind the wire-format unit tests, the JSONL and Chrome-trace golden
+/// files, and the docs-coverage test, and a compact reference for what
+/// each variant looks like on the wire.
 #[must_use]
 pub fn sample_events() -> Vec<TraceEvent> {
     let t = SimTime::from_secs(1.25);
@@ -1588,6 +868,7 @@ pub fn sample_events() -> Vec<TraceEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{DeError, Value};
 
     #[test]
     fn variant_names_match_const_list() {
@@ -1607,15 +888,101 @@ mod tests {
         }
     }
 
+    /// Parses one JSON text and decodes it as an event.
+    fn decode(json: &str) -> Result<TraceEvent, DeError> {
+        TraceEvent::from_value(&serde_json::from_str(json).expect("test input is valid JSON"))
+    }
+
+    #[test]
+    fn decodes_json_text() {
+        assert_eq!(
+            decode(r#"{"ev":"Suspended","at":0.5,"conv":1,"tokens":32}"#),
+            Ok(TraceEvent::Suspended {
+                at: SimTime::from_secs(0.5),
+                conv: 1,
+                tokens: 32,
+            })
+        );
+    }
+
     #[test]
     fn unknown_variant_is_an_error() {
-        let v = obj("NotAnEvent", &[("at", num(0.0))]);
-        assert!(TraceEvent::from_value(&v).is_err());
+        assert!(decode(r#"{"ev":"NotAnEvent","at":0}"#).is_err());
+        assert!(decode(r#"{"at":0,"conv":1,"tokens":32}"#).is_err());
     }
 
     #[test]
     fn missing_field_is_an_error() {
-        let v = obj("Suspended", &[("at", num(0.0)), ("conv", num(1.0))]);
-        assert!(TraceEvent::from_value(&v).is_err());
+        assert!(decode(r#"{"ev":"Suspended","at":0,"conv":1}"#).is_err());
+    }
+
+    #[test]
+    fn mistyped_field_is_an_error() {
+        assert!(decode(r#"{"ev":"Suspended","at":0,"conv":1,"tokens":"32"}"#).is_err());
+        assert!(decode(r#"{"ev":"Suspended","at":0,"conv":1.5,"tokens":32}"#).is_err());
+    }
+
+    #[test]
+    fn negative_or_missing_timestamp_is_an_error() {
+        assert!(decode(r#"{"ev":"Suspended","at":-1,"conv":1,"tokens":32}"#).is_err());
+        assert!(decode(r#"{"ev":"Suspended","at":null,"conv":1,"tokens":32}"#).is_err());
+    }
+
+    #[test]
+    fn non_object_is_an_error() {
+        for json in [r#""Suspended""#, "[1,2]", "3", "null"] {
+            assert!(decode(json).is_err(), "{json} decoded");
+        }
+    }
+
+    #[test]
+    fn unknown_enum_strings_are_errors() {
+        let cases = [
+            r#"{"ev":"SwapStart","at":0,"dir":"sideways","bytes":1}"#,
+            r#"{"ev":"SwapStart","at":0,"dir":"In","bytes":1}"#,
+            r#"{"ev":"ChunkDropped","at":0,"conv":1,"chunk":0,"tokens":32,"reason":"boredom"}"#,
+            r#"{"ev":"ChunkDropped","at":0,"conv":1,"chunk":0,"tokens":32,"reason":"cpu_pressure"}"#,
+            r#"{"ev":"TierReadCommitted","at":0,"conv":1,"tokens":32,"tier":"tape"}"#,
+            r#"{"ev":"FaultRecovery","at":0,"conv":null,"kind":"reboot","tokens":0}"#,
+        ];
+        for json in cases {
+            assert!(decode(json).is_err(), "{json} decoded");
+        }
+    }
+
+    /// `as_str` is the display name used by exporters and reports; it
+    /// must never drift from the derived wire string.
+    #[test]
+    fn display_names_equal_wire_strings() {
+        fn check<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(v: T, name: &str) {
+            assert_eq!(v.to_value(), Value::String(name.to_owned()));
+            assert_eq!(T::from_value(&Value::String(name.to_owned())), Ok(v));
+        }
+        for d in [SwapDir::In, SwapDir::Out] {
+            check(d, d.as_str());
+        }
+        for r in [
+            DropReason::CpuPressure,
+            DropReason::HostLoss,
+            DropReason::HostCorruption,
+            DropReason::SwapInFault,
+            DropReason::ColdPressure,
+            DropReason::ColdReadFault,
+        ] {
+            check(r, r.as_str());
+        }
+        for t in [StorageTier::Cpu, StorageTier::Ssd, StorageTier::Cold] {
+            check(t, t.as_str());
+        }
+        for k in [
+            RecoveryKind::SwapInRetry,
+            RecoveryKind::RecomputeFallback,
+            RecoveryKind::GpuAllocFault,
+            RecoveryKind::WorkerStall,
+            RecoveryKind::ColdReadFallback,
+            RecoveryKind::TornManifest,
+        ] {
+            check(k, k.as_str());
+        }
     }
 }

@@ -61,6 +61,18 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
     out
 }
 
+/// FNV-1a hash of the events' JSONL encoding: the `trace_hash` pinned in
+/// committed benchmark results. Two runs hash equal exactly when their
+/// traces are byte-identical (up to hash collisions).
+#[must_use]
+pub fn trace_hash(events: &[TraceEvent]) -> u64 {
+    to_jsonl(events)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
 /// Parses and validates a JSONL event log. Blank lines are ignored.
 ///
 /// # Errors

@@ -47,7 +47,9 @@ pub mod recorder;
 pub mod report;
 
 pub use event::{sample_events, DropReason, RecoveryKind, StorageTier, SwapDir, TraceEvent};
-pub use export::{chrome_trace, chrome_trace_string, parse_jsonl, to_jsonl, JsonlError};
+pub use export::{
+    chrome_trace, chrome_trace_string, parse_jsonl, to_jsonl, trace_hash, JsonlError,
+};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use recorder::{NullRecorder, Recorder, SharedRecorder};
 pub use report::{PromotionRow, TraceReport, TurnAttribution};

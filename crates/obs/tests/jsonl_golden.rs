@@ -11,7 +11,7 @@
 //! cargo test -p pensieve-obs --test jsonl_golden -- --ignored regenerate
 //! ```
 
-use pensieve_obs::{parse_jsonl, sample_events, to_jsonl};
+use pensieve_obs::{parse_jsonl, sample_events, to_jsonl, trace_hash};
 
 fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -36,6 +36,15 @@ fn jsonl_matches_golden_file() {
 fn golden_file_parses_back_to_the_samples() {
     let golden = std::fs::read_to_string(golden_path()).expect("golden file exists");
     assert_eq!(parse_jsonl(&golden), Ok(sample_events()));
+}
+
+/// `trace_hash` is FNV-1a over exactly these bytes (the value is the
+/// FNV-1a-64 of `tests/golden/events.jsonl`); an empty trace hashes to the
+/// FNV offset basis.
+#[test]
+fn trace_hash_is_fnv1a_of_the_jsonl_bytes() {
+    assert_eq!(trace_hash(&sample_events()), 0x0e0d_8328_657b_c35c);
+    assert_eq!(trace_hash(&[]), 0xcbf2_9ce4_8422_2325);
 }
 
 /// The samples only carry `FaultRecovery { conv: Some(_) }`; pin the

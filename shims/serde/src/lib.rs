@@ -10,9 +10,56 @@
 //! * [`Serialize`] converts a value *to* a [`Value`];
 //! * [`Deserialize`] reconstructs a value *from* a [`Value`];
 //! * the `#[derive(Serialize, Deserialize)]` macros (re-exported from the
-//!   companion `serde_derive` shim) generate those impls for structs with
-//!   named fields, single-field tuple structs, and unit-variant enums —
-//!   the only shapes this repository uses.
+//!   companion `serde_derive` shim) generate those impls for the shapes
+//!   this repository uses, with the same wire format real serde gives
+//!   them:
+//!
+//!   | Shape | Encoding |
+//!   |---|---|
+//!   | struct with named fields | object |
+//!   | single-field tuple struct (newtype) | the field |
+//!   | enum of unit variants | variant name string |
+//!   | enum of named-field variants, `#[serde(tag = "k")]` | one flat object: the fields plus `"k": "Variant"` |
+//!
+//!   The supported attributes are `#[serde(tag = "...")]` (required on,
+//!   and only allowed on, enums with named-field variants),
+//!   `#[serde(rename_all = "kebab-case")]` on unit enums (`SwapInFault`
+//!   → `"swap-in-fault"`), and `#[serde(default)]` on named fields. Any
+//!   other attribute or shape is a compile error. Decoding is strict: a
+//!   wrong shape, an unknown variant or tag, and a missing or mistyped
+//!   field are [`DeError`]s; unknown extra object keys are ignored.
+//!
+//! ```
+//! use serde::{Deserialize, Serialize, Value};
+//!
+//! #[derive(Debug, PartialEq, Serialize, Deserialize)]
+//! #[serde(rename_all = "kebab-case")]
+//! enum Dir { SwapIn, Out }
+//!
+//! #[derive(Debug, PartialEq, Serialize, Deserialize)]
+//! #[serde(tag = "ev")]
+//! enum Ev { Moved { dir: Dir, bytes: u64 } }
+//!
+//! let ev = Ev::Moved { dir: Dir::SwapIn, bytes: 8 };
+//! let v = ev.to_value();
+//! assert_eq!(v.get("ev"), Some(&Value::String("Moved".into())));
+//! assert_eq!(v.get("dir"), Some(&Value::String("swap-in".into())));
+//! assert_eq!(Ev::from_value(&v), Ok(ev));
+//! ```
+//!
+//! Data enums must be internally tagged:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! enum Untagged { A { x: u8 } }
+//! ```
+//!
+//! and attributes beyond the three above are rejected:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Renamed { #[serde(rename = "y")] x: u8 }
+//! ```
 //!
 //! The `serde_json` shim handles text parsing/printing on top of the same
 //! [`Value`] type.

@@ -1,5 +1,6 @@
 //! Property-based tests over the core data structures and kernels.
 
+use pensieve_core::{FunctionalConfig, FunctionalEngine};
 use pensieve_kernels::attention::contiguous::fused_contiguous;
 use pensieve_kernels::attention::multi::{
     paged_multi_token, paged_multi_token_par, paged_multi_token_ref,
@@ -10,7 +11,6 @@ use pensieve_kernels::attention::single::paged_single_token_batch;
 use pensieve_kernels::ops::{matmul, matmul_par, matmul_ref};
 use pensieve_kernels::paged::gather_contiguous;
 use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache};
-use pensieve_core::{FunctionalConfig, FunctionalEngine};
 use pensieve_kvcache::{CacheConfig, LruPolicy, SessionId, TieredKvCache};
 use pensieve_model::{CostModel, HardwareSpec, ModelConfig, ProfiledCostTable, SeqShape, SimTime};
 use proptest::prelude::*;
