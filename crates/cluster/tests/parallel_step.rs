@@ -8,7 +8,8 @@
 //! pool must not move a single byte of the trace. CI runs this test
 //! under `PENSIEVE_THREADS` 1/2/4; each run asserts equality against an
 //! in-process serial (width-1) run, which makes the hash transitively
-//! identical across the whole matrix.
+//! identical across the whole matrix. The serial hash itself is pinned
+//! per CI fault seed, so a behaviour change cannot pass unnoticed.
 
 use crossbeam::pool::Pool;
 use pensieve_cluster::{ReplicationConfig, ReplicationMode, Router, RouterConfig, RouterPolicy};
@@ -20,6 +21,15 @@ use pensieve_sim::{FaultSchedule, NodeLinkSpec};
 
 const REPLICAS: usize = 64;
 const CONVS: usize = 48;
+
+/// Serial trace hash and event count for each CI fault seed, recorded
+/// once and never regenerated: width invariance alone would let a
+/// behaviour change through as long as every width changed alike.
+const PINNED: [(u64, &str, usize); 3] = [
+    (1, "94db6e98ea95b8a9", 4713),
+    (2, "e564af57d8391112", 4711),
+    (3, "b7103bdf9c394eb8", 4708),
+];
 
 /// Pool width under test: `PENSIEVE_THREADS`, default 4.
 fn env_threads() -> usize {
@@ -148,6 +158,14 @@ fn trace_hash_is_identical_across_pool_widths() {
     let (serial_hash, serial_out, serial_events) = run_at_width(1);
     assert!(serial_events > 0, "the chaos run must record events");
     assert_eq!(serial_out.len(), 2 * CONVS, "every turn must complete");
+    let seed = fault_seed();
+    if let Some(&(_, hash, events)) = PINNED.iter().find(|(s, ..)| *s == seed) {
+        assert_eq!(
+            (format!("{serial_hash:016x}"), serial_events),
+            (String::from(hash), events),
+            "serial chaos trace changed for fault seed {seed}"
+        );
+    }
 
     let (wide_hash, wide_out, wide_events) = run_at_width(width);
     assert_eq!(
