@@ -17,17 +17,19 @@
 //!   combined with the modeled numbers.
 //!
 //! ```text
-//! cargo run --release -p pensieve-bench --bin bench_cluster_scaling
+//! cargo run --release -p pensieve-bench --bin bench_cluster_scaling [-- --out PATH]
 //! ```
 //!
-//! Writes `results/BENCH_cluster_scaling.json`; exits nonzero if any
-//! width's trace diverges from the serial run or the 4-thread modeled
-//! stepping speedup falls below 2x.
+//! Writes the report to `--out PATH` (default
+//! `results/BENCH_cluster_scaling.json`); exits nonzero on an unknown
+//! flag, if any width's trace diverges from the serial run, or if the
+//! 4-thread modeled stepping speedup falls below 2x.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use crossbeam::pool::Pool;
-use pensieve_bench::{print_table, write_json};
+use pensieve_bench::{print_table, write_json_to};
 use pensieve_cluster::{ReplicationConfig, ReplicationMode, Router, RouterConfig, RouterPolicy};
 use pensieve_core::{EngineConfig, Request, RequestId, Response, ServingBackend, SimServingEngine};
 use pensieve_kvcache::SessionId;
@@ -187,7 +189,18 @@ fn run_at_width(width: usize) -> ScalingPoint {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let mut out_path = String::from("results/BENCH_cluster_scaling.json");
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--out" => out_path = args.next().expect("--out needs a path"),
+            other => {
+                eprintln!("unknown flag {other}; usage: bench_cluster_scaling [--out PATH]");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
     let points: Vec<ScalingPoint> = WIDTHS
         .iter()
         .map(|&w| {
@@ -235,7 +248,7 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
-    write_json("BENCH_cluster_scaling", &report);
+    write_json_to(&out_path, &report);
 
     assert!(
         report.deterministic,
@@ -245,4 +258,5 @@ fn main() {
         report.meets_2x_modeled,
         "4-thread modeled stepping speedup fell below 2x"
     );
+    ExitCode::SUCCESS
 }

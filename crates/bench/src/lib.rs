@@ -228,10 +228,20 @@ pub fn run_sweep(specs: Vec<PointSpec>) -> Vec<SweepPoint> {
 ///
 /// Panics if the results directory cannot be created or written.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = format!("results/{name}.json");
+    write_json_to(&format!("results/{name}.json"), value);
+}
+
+/// Writes a report as pretty JSON to `path`, creating its directory.
+///
+/// # Panics
+///
+/// Panics if the directory cannot be created or the file written.
+pub fn write_json_to<T: Serialize>(path: &str, value: &T) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).expect("create results dir");
+    }
     let data = serde_json::to_string_pretty(value).expect("serialize results");
-    std::fs::write(&path, data).expect("write results file");
+    std::fs::write(path, data).expect("write results file");
     println!("\nwrote {path}");
 }
 

@@ -314,6 +314,96 @@ struct EvictQueues {
     cold: Option<std::collections::VecDeque<Victim>>,
 }
 
+impl EvictQueues {
+    /// The snapshot slot of a host tier; `None` for the GPU tiers, which
+    /// are emptied by swap-out rather than by demotion.
+    fn of(&mut self, tier: Tier) -> Option<&mut Option<std::collections::VecDeque<Victim>>> {
+        match tier {
+            Tier::Cpu => Some(&mut self.cpu),
+            Tier::Ssd => Some(&mut self.ssd),
+            Tier::Cold => Some(&mut self.cold),
+            Tier::Gpu | Tier::GpuCopied | Tier::Dropped => None,
+        }
+    }
+}
+
+/// Tokens held in each tier, by the tier the chunk's state names.
+/// [`TierUsage::retier`] is the only code that changes it, for private
+/// and shared chunks alike; `check_invariants` recounts it from scratch.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct TierUsage {
+    gpu: usize,
+    /// Lazy copies: each occupies a GPU slot *and* CPU space.
+    copied: usize,
+    cpu: usize,
+    ssd: usize,
+    cold: usize,
+}
+
+impl TierUsage {
+    fn field(&mut self, tier: Tier) -> Option<&mut usize> {
+        match tier {
+            Tier::Gpu => Some(&mut self.gpu),
+            Tier::GpuCopied => Some(&mut self.copied),
+            Tier::Cpu => Some(&mut self.cpu),
+            Tier::Ssd => Some(&mut self.ssd),
+            Tier::Cold => Some(&mut self.cold),
+            Tier::Dropped => None,
+        }
+    }
+
+    fn add(&mut self, tier: Tier, tokens: usize) {
+        if let Some(n) = self.field(tier) {
+            *n += tokens;
+        }
+    }
+
+    fn sub(&mut self, tier: Tier, tokens: usize) {
+        if let Some(n) = self.field(tier) {
+            *n -= tokens;
+        }
+    }
+
+    /// Tokens charged against `tier`'s capacity: lazy copies count
+    /// towards both the GPU and the CPU tier.
+    fn used(&self, tier: Tier) -> usize {
+        match tier {
+            Tier::Gpu => self.gpu + self.copied,
+            Tier::GpuCopied => self.copied,
+            Tier::Cpu => self.cpu + self.copied,
+            Tier::Ssd => self.ssd,
+            Tier::Cold => self.cold,
+            Tier::Dropped => 0,
+        }
+    }
+
+    /// Moves a chunk of `tokens` from `*tier` to `to` and returns the
+    /// tier it left. [`Tier::Dropped`] stands for "held nowhere": fresh
+    /// tokens arrive from it and removed chunks leave to it.
+    fn retier(&mut self, tier: &mut Tier, tokens: usize, to: Tier) -> Tier {
+        let from = std::mem::replace(tier, to);
+        self.sub(from, tokens);
+        self.add(to, tokens);
+        from
+    }
+}
+
+/// Brings one chunk into the GPU tier for a restore or a global
+/// materialization, counting a CPU→GPU move as a swap-in. Returns the
+/// tier the chunk left.
+fn promote_to_gpu(
+    usage: &mut TierUsage,
+    stats: &mut CacheStats,
+    tier: &mut Tier,
+    tokens: usize,
+) -> Tier {
+    let from = usage.retier(tier, tokens, Tier::Gpu);
+    if from == Tier::Cpu {
+        stats.swapped_in_tokens += tokens as u64;
+    }
+    from
+}
+
 /// One physical, content-addressed, reference-counted chunk shared
 /// across conversations. Shared chunks never enter [`Tier::GpuCopied`]:
 /// lazy reclamation is a per-conversation return-soon bet that has no
@@ -421,16 +511,8 @@ pub struct TieredKvCache {
     cfg: CacheConfig,
     policy: Box<dyn EvictionPolicy>,
     convs: BTreeMap<SessionId, ConvEntry>,
-    /// Tokens in `Tier::Gpu`.
-    gpu_resident: usize,
-    /// Tokens in `Tier::GpuCopied` (occupy a GPU slot *and* CPU space).
-    gpu_copied: usize,
-    /// Tokens in `Tier::Cpu`.
-    cpu_resident: usize,
-    /// Tokens in `Tier::Ssd` (the tier-2 simulated NVMe).
-    ssd_resident: usize,
-    /// Tokens in `Tier::Cold` (the tier-3 simulated NFS/object store).
-    cold_resident: usize,
+    /// Per-tier occupancy of private and shared chunks.
+    usage: TierUsage,
     /// Lazily-copied chunks in copy order, for O(1) slot reclamation.
     /// Entries are validated at pop (a chunk may have been revalidated or
     /// suspended since).
@@ -506,11 +588,7 @@ impl fmt::Debug for TieredKvCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TieredKvCache")
             .field("conversations", &self.convs.len())
-            .field("gpu_resident", &self.gpu_resident)
-            .field("gpu_copied", &self.gpu_copied)
-            .field("cpu_resident", &self.cpu_resident)
-            .field("ssd_resident", &self.ssd_resident)
-            .field("cold_resident", &self.cold_resident)
+            .field("usage", &self.usage)
             .field("policy", &self.policy.name())
             .finish()
     }
@@ -536,11 +614,7 @@ impl TieredKvCache {
             cfg,
             policy,
             convs: BTreeMap::new(),
-            gpu_resident: 0,
-            gpu_copied: 0,
-            cpu_resident: 0,
-            ssd_resident: 0,
-            cold_resident: 0,
+            usage: TierUsage::default(),
             copied_fifo: std::collections::VecDeque::new(),
             commit_log: BTreeMap::new(),
             shared: BTreeMap::new(),
@@ -571,7 +645,7 @@ impl TieredKvCache {
     /// GPU slots in use (resident + lazily-copied).
     #[must_use]
     pub fn gpu_slots_used(&self) -> usize {
-        self.gpu_resident + self.gpu_copied
+        self.usage.used(Tier::Gpu)
     }
 
     /// Strictly free GPU slots (no reclamation needed).
@@ -584,25 +658,37 @@ impl TieredKvCache {
     /// copies.
     #[must_use]
     pub fn gpu_free_effective(&self) -> usize {
-        self.cfg.gpu_capacity_tokens - self.gpu_resident
+        self.gpu_free_strict() + self.usage.used(Tier::GpuCopied)
     }
 
     /// CPU tokens in use (CPU-resident + lazy copies).
     #[must_use]
     pub fn cpu_used(&self) -> usize {
-        self.cpu_resident + self.gpu_copied
+        self.usage.used(Tier::Cpu)
     }
 
     /// SSD (tier-2) tokens in use.
     #[must_use]
     pub fn ssd_used(&self) -> usize {
-        self.ssd_resident
+        self.usage.used(Tier::Ssd)
     }
 
     /// Cold-store (tier-3) tokens in use.
     #[must_use]
     pub fn cold_used(&self) -> usize {
-        self.cold_resident
+        self.usage.used(Tier::Cold)
+    }
+
+    /// Token capacity of `tier`. Lazy copies have none of their own:
+    /// they are charged to the GPU and CPU tiers.
+    fn capacity(&self, tier: Tier) -> usize {
+        match tier {
+            Tier::Gpu => self.cfg.gpu_capacity_tokens,
+            Tier::Cpu => self.cfg.cpu_capacity_tokens,
+            Tier::Ssd => self.cfg.ssd_capacity_tokens,
+            Tier::Cold => self.cfg.cold_capacity_tokens,
+            Tier::GpuCopied | Tier::Dropped => 0,
+        }
     }
 
     /// Lazily-copied tokens belonging to `conv`.
@@ -794,64 +880,15 @@ impl TieredKvCache {
             let Some(s) = self.shared.get_mut(&id) else {
                 continue;
             };
-            match s.tier {
-                Tier::Gpu => {}
-                Tier::Cpu => {
-                    self.cpu_resident -= s.tokens;
-                    self.gpu_resident += s.tokens;
-                    self.stats.swapped_in_tokens += s.tokens as u64;
-                    s.tier = Tier::Gpu;
-                }
-                Tier::Ssd => {
-                    self.ssd_resident -= s.tokens;
-                    self.gpu_resident += s.tokens;
-                    s.tier = Tier::Gpu;
-                }
-                Tier::Cold => {
-                    self.cold_resident -= s.tokens;
-                    self.gpu_resident += s.tokens;
-                    s.tier = Tier::Gpu;
-                }
-                Tier::Dropped => {
-                    self.gpu_resident += s.tokens;
-                    s.tier = Tier::Gpu;
-                }
-                // Shared chunks never hold lazy GPU copies.
-                Tier::GpuCopied => {}
-            }
+            promote_to_gpu(&mut self.usage, &mut self.stats, &mut s.tier, s.tokens);
             s.last_active = now;
         }
         if let Some(e) = self.convs.get_mut(&conv) {
             for c in e.chunks.iter_mut() {
-                match c.tier {
-                    Tier::Gpu => {}
-                    Tier::GpuCopied => {
-                        // Revalidate: discard the CPU copy, keep the slot.
-                        self.gpu_copied -= c.tokens;
-                        self.gpu_resident += c.tokens;
-                        self.stats.revalidated_tokens += c.tokens as u64;
-                        c.tier = Tier::Gpu;
-                    }
-                    Tier::Cpu => {
-                        self.cpu_resident -= c.tokens;
-                        self.gpu_resident += c.tokens;
-                        self.stats.swapped_in_tokens += c.tokens as u64;
-                        c.tier = Tier::Gpu;
-                    }
-                    Tier::Ssd => {
-                        self.ssd_resident -= c.tokens;
-                        self.gpu_resident += c.tokens;
-                        c.tier = Tier::Gpu;
-                    }
-                    Tier::Cold => {
-                        self.cold_resident -= c.tokens;
-                        self.gpu_resident += c.tokens;
-                        c.tier = Tier::Gpu;
-                    }
-                    Tier::Dropped => {
-                        self.gpu_resident += c.tokens;
-                        c.tier = Tier::Gpu;
-                    }
+                let from = promote_to_gpu(&mut self.usage, &mut self.stats, &mut c.tier, c.tokens);
+                if from == Tier::GpuCopied {
+                    // Revalidated: the CPU copy is discarded, the slot kept.
+                    self.stats.revalidated_tokens += c.tokens as u64;
                 }
             }
             e.last_active = now;
@@ -982,7 +1019,8 @@ impl TieredKvCache {
         e.last_active = now;
         let committed = e.private_tokens();
         self.commit_log.insert(conv, committed);
-        self.gpu_resident += n;
+        // Freshly computed tokens arrive from nowhere into the GPU tier.
+        self.usage.retier(&mut Tier::Dropped, n, Tier::Gpu);
         debug_assert!(self.check_invariants());
         Ok(())
     }
@@ -1071,19 +1109,16 @@ impl TieredKvCache {
                     else {
                         continue;
                     };
-                    let copied = self.ensure_cpu_space_with(tokens, now, &mut queues);
+                    let copied = self.ensure_space(Tier::Cpu, tokens, now, &mut queues);
                     let Some(s) = self.shared.get_mut(&id) else {
                         continue;
                     };
                     let refs = s.refs;
                     if copied {
-                        s.tier = Tier::Cpu;
-                        self.gpu_resident -= tokens;
-                        self.cpu_resident += tokens;
+                        self.usage.retier(&mut s.tier, tokens, Tier::Cpu);
                         self.stats.swapped_out_tokens += tokens as u64;
                     } else if refs == 0 {
-                        s.tier = Tier::Dropped;
-                        self.gpu_resident -= tokens;
+                        self.usage.retier(&mut s.tier, tokens, Tier::Dropped);
                         self.stats.dropped_tokens += tokens as u64;
                     } else {
                         // Referenced but nowhere to put it: keep it
@@ -1120,7 +1155,7 @@ impl TieredKvCache {
                 continue;
             };
             // Make CPU room; if impossible, drop the chunk instead.
-            let copied = self.ensure_cpu_space_with(tokens, now, &mut queues);
+            let copied = self.ensure_space(Tier::Cpu, tokens, now, &mut queues);
             let Some(c) = self
                 .convs
                 .get_mut(&conv)
@@ -1129,14 +1164,12 @@ impl TieredKvCache {
                 continue;
             };
             debug_assert_eq!(c.tier, Tier::Gpu);
-            self.gpu_resident -= tokens;
             if copied {
-                c.tier = Tier::GpuCopied;
-                self.gpu_copied += tokens;
+                self.usage.retier(&mut c.tier, tokens, Tier::GpuCopied);
                 self.copied_fifo.push_back((conv, idx));
                 self.stats.swapped_out_tokens += tokens as u64;
             } else {
-                c.tier = Tier::Dropped;
+                self.usage.retier(&mut c.tier, tokens, Tier::Dropped);
                 self.stats.dropped_tokens += tokens as u64;
             }
             self.recorder.record(TraceEvent::ChunkEvicted {
@@ -1181,26 +1214,22 @@ impl TieredKvCache {
                 let Some(c) = self.convs.get_mut(&conv).and_then(|e| e.chunks.get_mut(i)) else {
                     continue;
                 };
-                c.tier = Tier::Cpu;
-                self.gpu_copied -= tokens;
-                self.cpu_resident += tokens;
+                self.usage.retier(&mut c.tier, tokens, Tier::Cpu);
                 continue;
             }
-            let copied = self.ensure_cpu_space(tokens, now);
-            // ensure_cpu_space only demotes or drops host-tier chunks
-            // and never removes a conversation entry, but the walk stays
+            let copied = self.ensure_space(Tier::Cpu, tokens, now, &mut EvictQueues::default());
+            // ensure_space only demotes or drops host-tier chunks and
+            // never removes a conversation entry, but the walk stays
             // total.
             let Some(c) = self.convs.get_mut(&conv).and_then(|e| e.chunks.get_mut(i)) else {
                 continue;
             };
-            self.gpu_resident -= tokens;
             if copied {
-                c.tier = Tier::Cpu;
-                self.cpu_resident += tokens;
+                self.usage.retier(&mut c.tier, tokens, Tier::Cpu);
                 self.stats.swapped_out_tokens += tokens as u64;
                 transferred += tokens;
             } else {
-                c.tier = Tier::Dropped;
+                self.usage.retier(&mut c.tier, tokens, Tier::Dropped);
                 self.stats.dropped_tokens += tokens as u64;
             }
         }
@@ -1221,21 +1250,14 @@ impl TieredKvCache {
     pub fn remove_conversation(&mut self, conv: SessionId) {
         self.set_pinned(conv, false);
         self.commit_log.remove(&conv);
-        if let Some(e) = self.convs.remove(&conv) {
+        if let Some(mut e) = self.convs.remove(&conv) {
             for id in &e.shared {
                 if let Some(s) = self.shared.get_mut(id) {
                     s.refs = s.refs.saturating_sub(1);
                 }
             }
-            for c in &e.chunks {
-                match c.tier {
-                    Tier::Gpu => self.gpu_resident -= c.tokens,
-                    Tier::GpuCopied => self.gpu_copied -= c.tokens,
-                    Tier::Cpu => self.cpu_resident -= c.tokens,
-                    Tier::Ssd => self.ssd_resident -= c.tokens,
-                    Tier::Cold => self.cold_resident -= c.tokens,
-                    Tier::Dropped => {}
-                }
+            for c in &mut e.chunks {
+                self.usage.retier(&mut c.tier, c.tokens, Tier::Dropped);
             }
         }
         debug_assert!(self.check_invariants());
@@ -1270,25 +1292,8 @@ impl TieredKvCache {
         }
         let mut chunks = e.chunks;
         for c in &mut chunks {
-            match c.tier {
-                Tier::Gpu => {
-                    self.gpu_resident -= c.tokens;
-                    c.tier = Tier::Cpu;
-                }
-                Tier::GpuCopied => {
-                    self.gpu_copied -= c.tokens;
-                    c.tier = Tier::Cpu;
-                }
-                Tier::Cpu => self.cpu_resident -= c.tokens,
-                Tier::Ssd => {
-                    self.ssd_resident -= c.tokens;
-                    c.tier = Tier::Cpu;
-                }
-                Tier::Cold => {
-                    self.cold_resident -= c.tokens;
-                    c.tier = Tier::Cpu;
-                }
-                Tier::Dropped => {}
+            if self.usage.retier(&mut c.tier, c.tokens, Tier::Dropped) != Tier::Dropped {
+                c.tier = Tier::Cpu; // Staged in host memory for the wire.
             }
         }
         debug_assert!(self.check_invariants());
@@ -1390,41 +1395,12 @@ impl TieredKvCache {
             }
         }
         for c in &mut chunks {
-            match c.tier {
-                Tier::Cpu => {
-                    if self.cpu_used() + c.tokens <= self.cfg.cpu_capacity_tokens {
-                        self.cpu_resident += c.tokens;
-                        admitted += c.tokens;
-                    } else {
-                        c.tier = Tier::Dropped;
-                        self.stats.dropped_tokens += c.tokens as u64;
-                    }
-                }
-                Tier::Ssd => {
-                    if self.ssd_resident + c.tokens <= self.cfg.ssd_capacity_tokens {
-                        self.ssd_resident += c.tokens;
-                        admitted += c.tokens;
-                    } else {
-                        c.tier = Tier::Dropped;
-                        self.stats.dropped_tokens += c.tokens as u64;
-                    }
-                }
-                Tier::Cold => {
-                    if self.cold_resident + c.tokens <= self.cfg.cold_capacity_tokens {
-                        self.cold_resident += c.tokens;
-                        admitted += c.tokens;
-                    } else {
-                        c.tier = Tier::Dropped;
-                        self.stats.dropped_tokens += c.tokens as u64;
-                    }
-                }
-                Tier::Dropped => {}
-                Tier::Gpu | Tier::GpuCopied => {
-                    // Exports are CPU-staged by construction; a stray
-                    // GPU-tier chunk carries no transferable bytes here.
-                    c.tier = Tier::Dropped;
-                    self.stats.dropped_tokens += c.tokens as u64;
-                }
+            let wanted = c.tier;
+            c.tier = self.admit(wanted, c.tokens);
+            if c.tier != Tier::Dropped {
+                admitted += c.tokens;
+            } else if wanted != Tier::Dropped {
+                self.stats.dropped_tokens += c.tokens as u64;
             }
         }
         self.convs.insert(
@@ -1505,23 +1481,17 @@ impl TieredKvCache {
             return Err(CacheError::ChunkNotInCpuTier { conv, chunk });
         };
         let tokens = c.tokens;
-        match c.tier {
-            Tier::Cpu => {
-                c.tier = Tier::Dropped;
-                self.cpu_resident -= tokens;
-            }
-            Tier::GpuCopied => {
-                // The GPU still holds the bytes; only the copy is gone.
-                // The chunk's copied_fifo entry goes stale and is skipped
-                // at reclamation (tier check at pop).
-                c.tier = Tier::Gpu;
-                self.gpu_copied -= tokens;
-                self.gpu_resident += tokens;
-            }
+        let to = match c.tier {
+            Tier::Cpu => Tier::Dropped,
+            // The GPU still holds the bytes; only the copy is gone. The
+            // chunk's copied_fifo entry goes stale and is skipped at
+            // reclamation (tier check at pop).
+            Tier::GpuCopied => Tier::Gpu,
             Tier::Gpu | Tier::Ssd | Tier::Cold | Tier::Dropped => {
                 return Err(CacheError::ChunkNotInCpuTier { conv, chunk });
             }
-        }
+        };
+        self.usage.retier(&mut c.tier, tokens, to);
         debug_assert!(self.check_invariants());
         Ok(tokens)
     }
@@ -1537,7 +1507,7 @@ impl TieredKvCache {
         let mut dropped = 0;
         for (i, c) in e.chunks.iter_mut().enumerate() {
             if c.tier == Tier::Cpu {
-                c.tier = Tier::Dropped;
+                self.usage.retier(&mut c.tier, c.tokens, Tier::Dropped);
                 dropped += c.tokens;
                 self.recorder.record(TraceEvent::ChunkDropped {
                     at: now,
@@ -1548,7 +1518,6 @@ impl TieredKvCache {
                 });
             }
         }
-        self.cpu_resident -= dropped;
         self.stats.swap_in_fault_tokens += dropped as u64;
         debug_assert!(self.check_invariants());
         dropped
@@ -1565,12 +1534,10 @@ impl TieredKvCache {
         };
         let mut dropped = 0;
         for (i, c) in e.chunks.iter_mut().enumerate() {
-            match c.tier {
-                Tier::Ssd => self.ssd_resident -= c.tokens,
-                Tier::Cold => self.cold_resident -= c.tokens,
-                _ => continue,
+            if !matches!(c.tier, Tier::Ssd | Tier::Cold) {
+                continue;
             }
-            c.tier = Tier::Dropped;
+            self.usage.retier(&mut c.tier, c.tokens, Tier::Dropped);
             dropped += c.tokens;
             self.recorder.record(TraceEvent::ChunkDropped {
                 at: now,
@@ -1631,13 +1598,10 @@ impl TieredKvCache {
                 }
             }
             end += m.tokens;
-            let tier = if self.cold_resident + m.tokens <= self.cfg.cold_capacity_tokens {
-                self.cold_resident += m.tokens;
+            let tier = self.admit(Tier::Cold, m.tokens);
+            if tier != Tier::Dropped {
                 admitted += m.tokens;
-                Tier::Cold
-            } else {
-                Tier::Dropped
-            };
+            }
             chunks.push(ChunkState {
                 tier,
                 tokens: m.tokens,
@@ -1667,30 +1631,46 @@ impl TieredKvCache {
         Ok(admitted)
     }
 
-    /// Frees CPU space for `tokens` by demoting policy-chosen CPU-tier
-    /// chunks down the storage hierarchy (dropping them when the deep
-    /// tiers are disabled or full). Returns false if space could not be
-    /// found (caller should drop instead of copy).
-    fn ensure_cpu_space(&mut self, tokens: usize, now: SimTime) -> bool {
-        self.ensure_cpu_space_with(tokens, now, &mut EvictQueues::default())
+    /// Places a chunk arriving from outside the cache (a handoff or a
+    /// manifest) at host tier `tier` if it fits without evicting anyone,
+    /// and returns where it landed: `tier`, or [`Tier::Dropped`] when the
+    /// tier is full. Exports are CPU-staged by construction, so a stray
+    /// GPU-tier chunk carries no transferable bytes and lands dropped.
+    fn admit(&mut self, tier: Tier, tokens: usize) -> Tier {
+        let mut placed = Tier::Dropped;
+        if matches!(tier, Tier::Cpu | Tier::Ssd | Tier::Cold)
+            && self.usage.used(tier) + tokens <= self.capacity(tier)
+        {
+            self.usage.retier(&mut placed, tokens, tier);
+        }
+        placed
     }
 
-    /// [`TieredKvCache::ensure_cpu_space`] with caller-held eviction
-    /// queues: each tier's candidate snapshot is collected at most once
-    /// per pass and consumed from the front, entries being re-validated
-    /// at use.
-    fn ensure_cpu_space_with(
+    /// Frees room for `tokens` in host tier `tier` by evicting its
+    /// policy-chosen chunks one tier down the hierarchy: a CPU victim
+    /// demotes to the SSD tier, else to the cold store; an SSD victim to
+    /// the cold store; a cold victim, or one no lower tier can take, is
+    /// dropped. Each tier's candidate snapshot is collected at most once
+    /// per pass in `queues` and consumed from the front, entries being
+    /// re-validated at use. Returns false if the tier is disabled, too
+    /// small for the chunk, or out of evictable candidates.
+    fn ensure_space(
         &mut self,
+        tier: Tier,
         tokens: usize,
         now: SimTime,
         queues: &mut EvictQueues,
     ) -> bool {
-        if tokens > self.cfg.cpu_capacity_tokens {
+        let capacity = self.capacity(tier);
+        if tokens > capacity {
             return false;
         }
-        while self.cpu_used() + tokens > self.cfg.cpu_capacity_tokens {
-            let q = queues.cpu.get_or_insert_with(|| {
-                self.collect_candidates(Tier::Cpu, now, false)
+        while self.usage.used(tier) + tokens > capacity {
+            let Some(q) = queues.of(tier) else {
+                return false;
+            };
+            let q = q.get_or_insert_with(|| {
+                self.collect_candidates(tier, now, false)
                     .into_iter()
                     .map(|(v, _)| v)
                     .collect()
@@ -1698,34 +1678,35 @@ impl TieredKvCache {
             let Some(victim) = q.pop_front() else {
                 return false;
             };
-            let (conv, idx) = match victim {
-                Victim::Shared(id) => {
-                    self.demote_shared_chunk(id, Tier::Cpu, now, queues);
-                    continue;
-                }
-                Victim::Conv(conv, idx) => (conv, idx),
-            };
-            let Some(e) = self.convs.get(&conv) else {
-                continue; // Conversation removed since the snapshot.
-            };
-            if e.pinned {
-                continue; // Re-pinned since the snapshot.
+            match victim {
+                Victim::Shared(id) => self.demote_shared_chunk(id, tier, now, queues),
+                Victim::Conv(conv, idx) => self.demote_chunk(conv, idx, tier, now, queues),
             }
-            let Some(c) = e.chunks.get(idx) else {
-                continue; // Chunk index stale; snapshot outlived it.
-            };
-            if c.tier != Tier::Cpu {
-                continue; // Tier changed since the snapshot.
-            }
-            let victim_tokens = c.tokens;
-            self.cpu_resident -= victim_tokens;
-            self.demote_chunk(conv, idx, victim_tokens, Tier::Cpu, now, queues);
         }
         true
     }
 
+    /// Makes room for a `tokens`-sized victim leaving host tier `from`
+    /// and returns where it goes: the SSD tier (CPU victims only), else
+    /// the cold store (never for a cold victim), else `None` — dropped.
+    fn demotion_target(
+        &mut self,
+        from: Tier,
+        tokens: usize,
+        now: SimTime,
+        queues: &mut EvictQueues,
+    ) -> Option<Tier> {
+        if from == Tier::Cpu && self.ensure_space(Tier::Ssd, tokens, now, queues) {
+            Some(Tier::Ssd)
+        } else if from != Tier::Cold && self.ensure_space(Tier::Cold, tokens, now, queues) {
+            Some(Tier::Cold)
+        } else {
+            None
+        }
+    }
+
     /// Refcount-aware demotion of a *shared* chunk one tier down: a
-    /// still-referenced chunk is only moved when the next tier has room
+    /// still-referenced chunk is only moved when a lower tier has room
     /// (its sharers keep it; dropping would burn them all), while an
     /// unreferenced chunk falls through the hierarchy and off the bottom
     /// exactly like a private one. No-op if the chunk is not where the
@@ -1745,42 +1726,21 @@ impl TieredKvCache {
         else {
             return;
         };
-        // Find space *before* touching source accounting, so a failed
-        // placement leaves the chunk exactly where it was.
-        let to = if from == Tier::Cpu && self.ensure_ssd_space(tokens, now, queues) {
-            Some(Tier::Ssd)
-        } else if from != Tier::Cold && self.ensure_cold_space(tokens, now, queues) {
-            Some(Tier::Cold)
-        } else {
-            None
-        };
+        // Find space *before* touching the chunk, so a failed placement
+        // leaves it exactly where it was.
+        let to = self.demotion_target(from, tokens, now, queues);
         if to.is_none() && refs > 0 {
             return; // Referenced and nowhere to go: keep it resident.
         }
         let Some(s) = self.shared.get_mut(&id) else {
             return;
         };
-        match from {
-            Tier::Cpu => self.cpu_resident -= tokens,
-            Tier::Ssd => self.ssd_resident -= tokens,
-            Tier::Cold => self.cold_resident -= tokens,
-            Tier::Gpu | Tier::GpuCopied | Tier::Dropped => return,
-        }
-        match to {
-            Some(Tier::Ssd) => {
-                s.tier = Tier::Ssd;
-                self.ssd_resident += tokens;
-                self.stats.demoted_tokens += tokens as u64;
-            }
-            Some(_) => {
-                s.tier = Tier::Cold;
-                self.cold_resident += tokens;
-                self.stats.demoted_tokens += tokens as u64;
-            }
-            None => {
-                s.tier = Tier::Dropped;
-                self.stats.dropped_tokens += tokens as u64;
-            }
+        self.usage
+            .retier(&mut s.tier, tokens, to.unwrap_or(Tier::Dropped));
+        if to.is_some() {
+            self.stats.demoted_tokens += tokens as u64;
+        } else {
+            self.stats.dropped_tokens += tokens as u64;
         }
         self.recorder.record(TraceEvent::SharedChunkEvicted {
             at: now,
@@ -1791,41 +1751,40 @@ impl TieredKvCache {
         });
     }
 
-    /// Moves an evicted chunk one tier down the hierarchy: a CPU victim
-    /// lands in the SSD tier (or the cold store when the SSD tier is
-    /// disabled), an SSD victim lands in the cold store, and a chunk the
-    /// whole hierarchy cannot hold is dropped. The caller has already
-    /// removed the chunk from its source tier's accounting.
+    /// Demotes private chunk `idx` of `conv` one tier down from `from`
+    /// (see [`TieredKvCache::ensure_space`]), dropping it when no lower
+    /// tier can hold it. No-op if the snapshot entry went stale: the
+    /// conversation was removed or re-pinned, or the chunk changed tier.
     fn demote_chunk(
         &mut self,
         conv: SessionId,
         idx: usize,
-        tokens: usize,
         from: Tier,
         now: SimTime,
         queues: &mut EvictQueues,
     ) {
-        let to = if from == Tier::Cpu && self.ensure_ssd_space(tokens, now, queues) {
-            Some((Tier::Ssd, StorageTier::Ssd))
-        } else if self.ensure_cold_space(tokens, now, queues) {
-            Some((Tier::Cold, StorageTier::Cold))
-        } else {
-            None
+        let Some(tokens) = self
+            .convs
+            .get(&conv)
+            .filter(|e| !e.pinned)
+            .and_then(|e| e.chunks.get(idx))
+            .filter(|c| c.tier == from)
+            .map(|c| c.tokens)
+        else {
+            return;
         };
+        let to = self.demotion_target(from, tokens, now, queues);
         let Some(c) = self
             .convs
             .get_mut(&conv)
             .and_then(|e| e.chunks.get_mut(idx))
         else {
-            return; // Validated by the caller; the walk stays total.
+            return; // Validated above; the walk stays total.
         };
+        self.usage
+            .retier(&mut c.tier, tokens, to.unwrap_or(Tier::Dropped));
         match to {
-            Some((tier, obs_to)) => {
-                c.tier = tier;
-                match tier {
-                    Tier::Ssd => self.ssd_resident += tokens,
-                    _ => self.cold_resident += tokens,
-                }
+            Some(to) => {
                 self.stats.demoted_tokens += tokens as u64;
                 self.recorder.record(TraceEvent::ChunkDemoted {
                     at: now,
@@ -1837,11 +1796,14 @@ impl TieredKvCache {
                     } else {
                         StorageTier::Ssd
                     },
-                    to: obs_to,
+                    to: if to == Tier::Ssd {
+                        StorageTier::Ssd
+                    } else {
+                        StorageTier::Cold
+                    },
                 });
             }
             None => {
-                c.tier = Tier::Dropped;
                 self.stats.dropped_tokens += tokens as u64;
                 self.recorder.record(TraceEvent::ChunkDropped {
                     at: now,
@@ -1858,104 +1820,6 @@ impl TieredKvCache {
         }
     }
 
-    /// Frees SSD space for `tokens` by demoting policy-chosen SSD chunks
-    /// to the cold store (or dropping them when it is full). Returns
-    /// false when the SSD tier is disabled or cannot fit the chunk.
-    fn ensure_ssd_space(&mut self, tokens: usize, now: SimTime, queues: &mut EvictQueues) -> bool {
-        if tokens > self.cfg.ssd_capacity_tokens {
-            return false;
-        }
-        while self.ssd_resident + tokens > self.cfg.ssd_capacity_tokens {
-            let q = queues.ssd.get_or_insert_with(|| {
-                self.collect_candidates(Tier::Ssd, now, false)
-                    .into_iter()
-                    .map(|(v, _)| v)
-                    .collect()
-            });
-            let Some(victim) = q.pop_front() else {
-                return false;
-            };
-            let (conv, idx) = match victim {
-                Victim::Shared(id) => {
-                    self.demote_shared_chunk(id, Tier::Ssd, now, queues);
-                    continue;
-                }
-                Victim::Conv(conv, idx) => (conv, idx),
-            };
-            let Some(e) = self.convs.get(&conv) else {
-                continue;
-            };
-            if e.pinned {
-                continue;
-            }
-            let Some(c) = e.chunks.get(idx) else {
-                continue;
-            };
-            if c.tier != Tier::Ssd {
-                continue;
-            }
-            let victim_tokens = c.tokens;
-            self.ssd_resident -= victim_tokens;
-            self.demote_chunk(conv, idx, victim_tokens, Tier::Ssd, now, queues);
-        }
-        true
-    }
-
-    /// Frees cold-store space for `tokens` by dropping policy-chosen
-    /// cold chunks — the bottom of the hierarchy has nowhere further to
-    /// demote. Returns false when the cold tier is disabled or cannot
-    /// fit the chunk.
-    fn ensure_cold_space(&mut self, tokens: usize, now: SimTime, queues: &mut EvictQueues) -> bool {
-        if tokens > self.cfg.cold_capacity_tokens {
-            return false;
-        }
-        while self.cold_resident + tokens > self.cfg.cold_capacity_tokens {
-            let q = queues.cold.get_or_insert_with(|| {
-                self.collect_candidates(Tier::Cold, now, false)
-                    .into_iter()
-                    .map(|(v, _)| v)
-                    .collect()
-            });
-            let Some(victim) = q.pop_front() else {
-                return false;
-            };
-            let (conv, idx) = match victim {
-                Victim::Shared(id) => {
-                    // Bottom of the hierarchy: a still-referenced shared
-                    // chunk is kept (its sharers outweigh the incomer),
-                    // an unreferenced one is dropped.
-                    self.demote_shared_chunk(id, Tier::Cold, now, queues);
-                    continue;
-                }
-                Victim::Conv(conv, idx) => (conv, idx),
-            };
-            let Some(e) = self.convs.get_mut(&conv) else {
-                continue;
-            };
-            if e.pinned {
-                continue;
-            }
-            let Some(c) = e.chunks.get_mut(idx) else {
-                continue;
-            };
-            if c.tier != Tier::Cold {
-                continue;
-            }
-            let victim_tokens = c.tokens;
-            c.tier = Tier::Dropped;
-            self.cold_resident -= victim_tokens;
-            self.stats.dropped_tokens += victim_tokens as u64;
-            self.recorder.record(TraceEvent::ChunkDropped {
-                at: now,
-                conv: conv.0,
-                chunk: idx,
-                tokens: victim_tokens,
-                reason: DropReason::ColdPressure,
-            });
-        }
-        true
-    }
-
     /// Converts lazily-copied chunks back to CPU-only until at least
     /// `needed` strictly-free slots exist. `favored` conversations' copies
     /// are reclaimed last (they are about to be revalidated).
@@ -1964,7 +1828,7 @@ impl TieredKvCache {
     /// copy order (which follows the eviction policy's order) and stale
     /// entries are skipped on pop.
     fn reclaim_gpu_slots(&mut self, needed: usize, favored: Option<SessionId>) {
-        if self.gpu_free_strict() >= needed || self.gpu_copied == 0 {
+        if self.gpu_free_strict() >= needed || self.usage.used(Tier::GpuCopied) == 0 {
             return;
         }
         let mut kept = Vec::new();
@@ -1986,9 +1850,7 @@ impl TieredKvCache {
             if c.tier != Tier::GpuCopied {
                 continue; // Revalidated/suspended since copying; stale.
             }
-            c.tier = Tier::Cpu;
-            self.gpu_copied -= c.tokens;
-            self.cpu_resident += c.tokens;
+            self.usage.retier(&mut c.tier, c.tokens, Tier::Cpu);
         }
         // Favored entries stay queued for future reclamation.
         for entry in kept.into_iter().rev() {
@@ -2201,28 +2063,8 @@ impl TieredKvCache {
             let Some(s) = self.shared.get_mut(id) else {
                 continue; // Validated above; the walk stays total.
             };
-            match s.tier {
-                Tier::Gpu => {}
-                Tier::Cpu => {
-                    self.cpu_resident -= s.tokens;
-                    self.gpu_resident += s.tokens;
-                    self.stats.swapped_in_tokens += s.tokens as u64;
-                }
-                Tier::Ssd => {
-                    self.ssd_resident -= s.tokens;
-                    self.gpu_resident += s.tokens;
-                }
-                Tier::Cold => {
-                    self.cold_resident -= s.tokens;
-                    self.gpu_resident += s.tokens;
-                }
-                // Dropped = computed once here; shared chunks never hold
-                // lazy GPU copies.
-                Tier::Dropped | Tier::GpuCopied => {
-                    self.gpu_resident += s.tokens;
-                }
-            }
-            s.tier = Tier::Gpu;
+            // A dropped chunk is computed once here.
+            promote_to_gpu(&mut self.usage, &mut self.stats, &mut s.tier, s.tokens);
             s.global = true;
             s.refs += 1;
             s.external_refs += 1;
@@ -2404,18 +2246,14 @@ impl TieredKvCache {
             prev = id;
         }
         for (id, c) in &promoted {
-            let tier = match c.tier {
+            let mut tier = c.tier;
+            if tier == Tier::GpuCopied {
                 // Revalidate the lazy copy: keep the GPU slot, drop the
                 // CPU-side copy. The chunk's copied_fifo entry goes
                 // stale and is skipped at reclamation.
-                Tier::GpuCopied => {
-                    self.gpu_copied -= c.tokens;
-                    self.gpu_resident += c.tokens;
-                    self.stats.revalidated_tokens += c.tokens as u64;
-                    Tier::Gpu
-                }
-                t => t,
-            };
+                self.usage.retier(&mut tier, c.tokens, Tier::Gpu);
+                self.stats.revalidated_tokens += c.tokens as u64;
+            }
             self.shared.insert(
                 *id,
                 SharedChunk {
@@ -2468,11 +2306,7 @@ impl TieredKvCache {
 
     /// Verifies internal accounting; used in debug assertions.
     fn check_invariants(&self) -> bool {
-        let mut gpu = 0;
-        let mut copied = 0;
-        let mut cpu = 0;
-        let mut ssd = 0;
-        let mut cold = 0;
+        let mut recount = TierUsage::default();
         let mut chain_refs: BTreeMap<ChunkId, usize> = BTreeMap::new();
         let mut chain_pins: BTreeMap<ChunkId, usize> = BTreeMap::new();
         for e in self.convs.values() {
@@ -2491,26 +2325,13 @@ impl TieredKvCache {
                 assert!(c.tokens > 0 && c.tokens <= self.cfg.chunk_tokens);
                 assert_eq!(c.context_end, pos + c.tokens, "context_end drift");
                 pos += c.tokens;
-                match c.tier {
-                    Tier::Gpu => gpu += c.tokens,
-                    Tier::GpuCopied => copied += c.tokens,
-                    Tier::Cpu => cpu += c.tokens,
-                    Tier::Ssd => ssd += c.tokens,
-                    Tier::Cold => cold += c.tokens,
-                    Tier::Dropped => {}
-                }
+                recount.add(c.tier, c.tokens);
             }
         }
         for (id, s) in &self.shared {
             assert!(s.tokens > 0 && s.tokens <= self.cfg.chunk_tokens);
             assert_ne!(s.tier, Tier::GpuCopied, "shared chunk holds a lazy copy");
-            match s.tier {
-                Tier::Gpu => gpu += s.tokens,
-                Tier::Cpu => cpu += s.tokens,
-                Tier::Ssd => ssd += s.tokens,
-                Tier::Cold => cold += s.tokens,
-                Tier::GpuCopied | Tier::Dropped => {}
-            }
+            recount.add(s.tier, s.tokens);
             let from_chains = chain_refs.get(id).copied().unwrap_or(0);
             assert_eq!(
                 s.refs,
@@ -2523,15 +2344,14 @@ impl TieredKvCache {
                 "shared pinned-ref drift"
             );
         }
-        assert_eq!(gpu, self.gpu_resident, "gpu_resident drift");
-        assert_eq!(copied, self.gpu_copied, "gpu_copied drift");
-        assert_eq!(cpu, self.cpu_resident, "cpu_resident drift");
-        assert_eq!(ssd, self.ssd_resident, "ssd_resident drift");
-        assert_eq!(cold, self.cold_resident, "cold_resident drift");
-        assert!(self.gpu_slots_used() <= self.cfg.gpu_capacity_tokens);
-        assert!(self.cpu_used() <= self.cfg.cpu_capacity_tokens);
-        assert!(self.ssd_resident <= self.cfg.ssd_capacity_tokens);
-        assert!(self.cold_resident <= self.cfg.cold_capacity_tokens);
+        assert_eq!(recount, self.usage, "tier occupancy drift");
+        let capped = [Tier::Gpu, Tier::Cpu, Tier::Ssd, Tier::Cold];
+        for tier in capped {
+            assert!(
+                self.usage.used(tier) <= self.capacity(tier),
+                "{tier:?} over capacity"
+            );
+        }
         true
     }
 }

@@ -96,7 +96,7 @@ fn run_script() -> Run {
             ),
             9 => format!("suspend {}", cache.suspend(conv, now)),
             10 => {
-                let chain = if n % 2 == 0 { &doc } else { &global };
+                let chain = if n.is_multiple_of(2) { &doc } else { &global };
                 let attached = if cache.contains(conv) {
                     Err(None)
                 } else {
@@ -137,7 +137,7 @@ fn run_script() -> Run {
                     String::from("no cpu copy")
                 } else {
                     let (c, idx, _) = targets[n % targets.len()];
-                    if n % 2 == 0 {
+                    if n.is_multiple_of(2) {
                         format!("lost {:?}", cache.mark_chunk_lost(c, idx))
                     } else {
                         format!("corrupt {:?}", cache.mark_chunk_corrupt(c, idx))
@@ -147,7 +147,7 @@ fn run_script() -> Run {
             15 => format!("drop_cpu {}", cache.drop_cpu_chunks(conv, now)),
             16 => format!("drop_deep {}", cache.drop_deep_chunks(conv, now)),
             17 => {
-                if n % 3 == 0 && handles.len() > global.len() {
+                if n.is_multiple_of(3) && handles.len() > global.len() {
                     let h = handles.pop().expect("checked non-empty");
                     format!("release {:?}", cache.release(h))
                 } else {

@@ -11,7 +11,7 @@ use pensieve_kernels::attention::single::paged_single_token_batch;
 use pensieve_kernels::ops::{matmul, matmul_par, matmul_ref};
 use pensieve_kernels::paged::gather_contiguous;
 use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache};
-use pensieve_kvcache::{CacheConfig, LruPolicy, SessionId, TieredKvCache};
+use pensieve_kvcache::{CacheConfig, LruPolicy, RetentionValuePolicy, SessionId, TieredKvCache};
 use pensieve_model::{CostModel, HardwareSpec, ModelConfig, ProfiledCostTable, SeqShape, SimTime};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -187,14 +187,30 @@ proptest! {
     }
 
     /// Tiered-cache conservation: tokens never appear or vanish across an
-    /// arbitrary sequence of appends, swaps, suspends, and restores.
+    /// arbitrary sequence of appends, swaps, suspends, restores, forks,
+    /// export→import handoffs and deep-tier recompute fallbacks, on both
+    /// the paper's two-tier LRU cache and a four-tier retention-value
+    /// cache, and no tier ever exceeds its capacity.
     #[test]
     fn cache_conserves_tokens(
-        ops in prop::collection::vec((0u8..5, 0u64..4, 1usize..100), 1..60),
+        deep in 0u8..2,
+        ops in prop::collection::vec((0u8..8, 0u64..4, 1usize..100), 1..60),
     ) {
-        let mut cache = TieredKvCache::builder(CacheConfig::for_test(32, 2048, 1024))
-            .policy(Box::new(LruPolicy))
-            .build();
+        // The four-tier cache is small enough that every tier overflows.
+        let (gpu_cap, cpu_cap, ssd_cap, cold_cap) =
+            if deep == 1 { (256, 96, 96, 128) } else { (2048, 1024, 0, 0) };
+        let builder = TieredKvCache::builder(CacheConfig::for_test(32, gpu_cap, cpu_cap));
+        let mut cache = if deep == 1 {
+            let cost = CostModel::new(ModelConfig::opt_13b(), HardwareSpec::azure_nc_a100(1));
+            builder
+                .deep_tiers(ssd_cap, cold_cap)
+                .policy(Box::new(RetentionValuePolicy::new(ProfiledCostTable::profile(
+                    &cost, 32, 16384,
+                ))))
+                .build()
+        } else {
+            builder.policy(Box::new(LruPolicy)).build()
+        };
         let mut expected: std::collections::HashMap<u64, usize> = Default::default();
         let mut t = 0.0f64;
         for (op, conv_raw, n) in ops {
@@ -213,6 +229,19 @@ proptest! {
                 1 => { cache.unpin(conv); }
                 2 => { cache.suspend(conv, now); }
                 3 => { let _ = cache.maybe_swap_out(now); }
+                4 => {
+                    let child = n as u64 % 4;
+                    if cache.fork_session(conv, SessionId(child), now).is_ok() {
+                        let tokens = expected.get(&conv_raw).copied().unwrap_or(0);
+                        expected.insert(child, tokens);
+                    }
+                }
+                5 => {
+                    if let Some(export) = cache.export_session(conv) {
+                        cache.import_session(export, now).unwrap();
+                    }
+                }
+                6 => { let _ = cache.drop_deep_chunks(conv, now); }
                 _ => { let _ = cache.plan_restore(conv); }
             }
             for (&c, &tokens) in &expected {
@@ -222,8 +251,10 @@ proptest! {
                     "token count drifted for conversation {}", c
                 );
             }
-            prop_assert!(cache.gpu_slots_used() <= 2048);
-            prop_assert!(cache.cpu_used() <= 1024);
+            prop_assert!(cache.gpu_slots_used() <= gpu_cap);
+            prop_assert!(cache.cpu_used() <= cpu_cap);
+            prop_assert!(cache.ssd_used() <= ssd_cap);
+            prop_assert!(cache.cold_used() <= cold_cap);
         }
     }
 
