@@ -38,7 +38,7 @@
 //!   `SplitMix64` streams only.
 //! - **r5-lock-across-pool** — no `MutexGuard`/`RwLockGuard` may be
 //!   live across a worker-pool dispatch (`map_partitions`,
-//!   `for_each_mut`, `matmul_pool*`, `paged_multi_token_pool*`,
+//!   `for_each_mut`, `matmul_pool`, `paged_multi_token_pool`,
 //!   `step_replicas_to`): a guard held over the fan-out serializes the
 //!   pool (or deadlocks it when a partition takes the same lock).
 //! - **r5-pool-capture** — closures handed to the pool may not mutate
@@ -1048,9 +1048,7 @@ const DISPATCH_FNS: &[&str] = &[
     "map_partitions",
     "for_each_mut",
     "matmul_pool",
-    "matmul_pool_ungated",
     "paged_multi_token_pool",
-    "paged_multi_token_pool_ungated",
     "step_replicas_to",
 ];
 

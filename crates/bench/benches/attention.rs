@@ -8,10 +8,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pensieve_kernels::attention::contiguous::fused_contiguous;
 use pensieve_kernels::attention::copyout::copyout_attention;
-use pensieve_kernels::attention::multi::{paged_multi_token, paged_multi_token_par};
+use pensieve_kernels::attention::multi::paged_multi_token_pool;
 use pensieve_kernels::attention::multiround::multi_round_single_token;
 use pensieve_kernels::paged::gather_contiguous;
-use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache};
+use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache, Pool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -82,12 +82,13 @@ fn seqs(s: &Setup) -> Vec<AttnSeq<'_>> {
 /// contexts.
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig12_attention");
+    let serial = Pool::serial();
     for context in [256usize, 1024, 2048] {
         let s = setup(context);
         let layer = s.pool.layer(0);
         let sq = seqs(&s);
         group.bench_with_input(BenchmarkId::new("pensieve", context), &context, |b, _| {
-            b.iter(|| black_box(paged_multi_token(&s.cfg, &s.q, &layer, &sq)));
+            b.iter(|| black_box(paged_multi_token_pool(&s.cfg, &s.q, &layer, &sq, &serial)));
         });
         group.bench_with_input(BenchmarkId::new("copyout", context), &context, |b, _| {
             b.iter(|| black_box(copyout_attention(&s.cfg, &s.q, &layer, &sq)));
@@ -179,15 +180,17 @@ fn bench_ragged(c: &mut Criterion) {
     let layer = pool.layer(0);
 
     let mut group = c.benchmark_group("ragged_attention");
+    let serial = Pool::serial();
     group.bench_with_input(BenchmarkId::new("pensieve", 1), &1usize, |b, _| {
-        b.iter(|| black_box(paged_multi_token(&cfg, &q, &layer, &sq)));
+        b.iter(|| black_box(paged_multi_token_pool(&cfg, &q, &layer, &sq, &serial)));
     });
     for threads in [2usize, 4] {
+        let pool = Pool::global(threads);
         group.bench_with_input(
-            BenchmarkId::new("pensieve_par", threads),
+            BenchmarkId::new("pensieve_pool", threads),
             &threads,
-            |b, &t| {
-                b.iter(|| black_box(paged_multi_token_par(&cfg, &q, &layer, &sq, t)));
+            |b, _| {
+                b.iter(|| black_box(paged_multi_token_pool(&cfg, &q, &layer, &sq, &pool)));
             },
         );
     }

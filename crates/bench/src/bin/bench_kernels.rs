@@ -49,10 +49,10 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use crossbeam::pool::Pool;
-use pensieve_kernels::attention::multi::{paged_multi_token, paged_multi_token_pool};
+use pensieve_kernels::attention::multi::{paged_multi_token_pool, paged_multi_token_ref};
 use pensieve_kernels::attention::multiround::multi_round_single_token;
 use pensieve_kernels::attention::single::paged_single_token_batch;
-use pensieve_kernels::ops::{matmul, matmul_pool, matmul_ref};
+use pensieve_kernels::ops::{matmul_pool, matmul_ref};
 use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -260,14 +260,13 @@ impl Workload {
         let layer = self.pool.layer(0);
         let seqs = self.seqs();
         let decode_only = self.q_lens.iter().all(|&l| l == 1);
+        let serial = Pool::serial();
 
-        let reference = pensieve_kernels::attention::multi::paged_multi_token_ref(
-            &self.cfg, &self.q, &layer, &seqs,
-        );
+        let reference = paged_multi_token_ref(&self.cfg, &self.q, &layer, &seqs);
         let blocked_out = if decode_only {
             paged_single_token_batch(&self.cfg, &self.q, &layer, &seqs)
         } else {
-            paged_multi_token(&self.cfg, &self.q, &layer, &seqs)
+            paged_multi_token_pool(&self.cfg, &self.q, &layer, &seqs, &serial)
         };
         let mut bit_identical = blocked_out == reference;
         for &t in &THREAD_POINTS {
@@ -290,7 +289,9 @@ impl Workload {
             })
         } else {
             time_ms(|| {
-                std::hint::black_box(paged_multi_token(&self.cfg, &self.q, &layer, &seqs));
+                std::hint::black_box(paged_multi_token_pool(
+                    &self.cfg, &self.q, &layer, &seqs, &serial,
+                ));
             })
         };
         let threads_ms = THREAD_POINTS
@@ -331,8 +332,9 @@ fn run_gemm(name: &'static str, m: usize, k: usize, n: usize, rng: &mut StdRng) 
         n,
         (0..k * n).map(|_| rng.random_range(-1.0..1.0)).collect(),
     );
+    let serial = Pool::serial();
     let reference = matmul_ref(&a, &b);
-    let mut bit_identical = matmul(&a, &b) == reference;
+    let mut bit_identical = matmul_pool(&a, &b, &serial) == reference;
     for &t in &THREAD_POINTS {
         let pool = Pool::new(t);
         bit_identical &= matmul_pool(&a, &b, &pool) == reference;
@@ -345,7 +347,7 @@ fn run_gemm(name: &'static str, m: usize, k: usize, n: usize, rng: &mut StdRng) 
         std::hint::black_box(matmul_ref(&a, &b));
     });
     let blocked_ms = time_ms(|| {
-        std::hint::black_box(matmul(&a, &b));
+        std::hint::black_box(matmul_pool(&a, &b, &serial));
     });
     let threads_ms = THREAD_POINTS
         .iter()

@@ -19,10 +19,10 @@ use std::time::Instant;
 use pensieve_bench::{print_table, write_json};
 use pensieve_kernels::attention::contiguous::fused_contiguous;
 use pensieve_kernels::attention::copyout::copyout_attention;
-use pensieve_kernels::attention::multi::paged_multi_token;
+use pensieve_kernels::attention::multi::paged_multi_token_pool;
 use pensieve_kernels::attention::multiround::multi_round_single_token;
 use pensieve_kernels::paged::gather_contiguous;
-use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache};
+use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache, Pool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -117,6 +117,7 @@ fn main() {
         "Figure 12: multi-token attention over non-contiguous KV\n(batch {BATCH}, query {QUERY}, {HEADS} heads x {HEAD_DIM} dims, real CPU kernels)\n"
     );
     let mut rng = StdRng::seed_from_u64(99);
+    let serial = Pool::serial();
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for context in [128usize, 256, 512, 1024, 2048] {
@@ -156,7 +157,7 @@ fn main() {
             std::hint::black_box(multi_round_single_token(&s.cfg, &s.q, &layer, &seqs));
         });
         let pensieve = time_ms(|| {
-            std::hint::black_box(paged_multi_token(&s.cfg, &s.q, &layer, &seqs));
+            std::hint::black_box(paged_multi_token_pool(&s.cfg, &s.q, &layer, &seqs, &serial));
         });
         rows.push(vec![
             context.to_string(),
@@ -210,6 +211,7 @@ fn query_sweep(rng: &mut StdRng) {
     }
     println!("\nQuery-length sweep at context 1024 (batch {BATCH}):\n");
     let context = 1024usize;
+    let serial = Pool::serial();
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for q_len in [1usize, 2, 4, 8, 16] {
@@ -249,7 +251,7 @@ fn query_sweep(rng: &mut StdRng) {
             .collect();
         let layer = pool.layer(0);
         let pensieve = time_ms(|| {
-            std::hint::black_box(paged_multi_token(&cfg, &q, &layer, &seqs));
+            std::hint::black_box(paged_multi_token_pool(&cfg, &q, &layer, &seqs, &serial));
         });
         let multiround = time_ms(|| {
             std::hint::black_box(multi_round_single_token(&cfg, &q, &layer, &seqs));

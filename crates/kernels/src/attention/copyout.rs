@@ -14,7 +14,7 @@ use crate::tensor::Matrix;
 /// contiguous memory before attending.
 ///
 /// Semantics identical to
-/// [`paged_multi_token`](super::multi::paged_multi_token).
+/// [`paged_multi_token_pool`](super::multi::paged_multi_token_pool).
 ///
 /// # Panics
 ///

@@ -9,7 +9,7 @@
 //! | [`contiguous::fused_contiguous`] | contiguous | multi | "Ideal" (blue bar) |
 //! | [`copyout::copyout_attention`] | paged → copied | multi | "CopyOut+Attention" (orange) |
 //! | [`multiround::multi_round_single_token`] | paged | 1 per round | "Multi-round PagedAttention" (green) |
-//! | [`multi::paged_multi_token`] | paged | multi | **Pensieve's kernel** |
+//! | [`multi::paged_multi_token_pool`] | paged | multi | **Pensieve's kernel** |
 //!
 //! All kernels implement *causal* attention for a query chunk positioned at
 //! the **end** of its context: query token `j` (0-based within a chunk of

@@ -31,7 +31,8 @@ fn check_batch(cfg: &AttnConfig, q: &Matrix, seqs: &[AttnSeq<'_>]) {
     }
 }
 
-/// Batched multi-token causal attention over paged KV.
+/// Batched multi-token causal attention over paged KV, with per-sequence
+/// partitions fanned out over `pool`.
 ///
 /// `q` is the batch's concatenated query matrix
 /// (`[total_q_tokens, num_heads * head_dim]`); each [`AttnSeq`] locates one
@@ -41,6 +42,21 @@ fn check_batch(cfg: &AttnConfig, q: &Matrix, seqs: &[AttnSeq<'_>]) {
 /// Sub-requests sharing a block table (dropped-token recomputation,
 /// §4.3.4) are simply passed as separate `seqs` entries; no copying occurs.
 ///
+/// Each partition is one (sub-)request: a disjoint band of output rows,
+/// computed independently into a partition-local buffer by the same
+/// blocked kernel, then merged back **sequentially in sequence order** —
+/// so the result is bit-identical to [`paged_multi_token_ref`] at every
+/// pool width, including when two sub-requests name overlapping query
+/// rows (last writer wins in both).
+///
+/// Serial fallback: when the per-partition share of the batch's
+/// estimated work (`attn_work_units / threads`) falls below
+/// [`ATTN_MIN_PART_UNITS`], the batch runs on the calling thread. Small
+/// generation batches (one query token per sequence) land under the
+/// threshold, so they never pay partition dispatch; prefill chunks clear
+/// it and fan out. Both paths are bit-identical, so the decision affects
+/// time only.
+///
 /// # Panics
 ///
 /// Panics if any sequence fails [`AttnSeq::check`], query ranges exceed
@@ -49,130 +65,24 @@ fn check_batch(cfg: &AttnConfig, q: &Matrix, seqs: &[AttnSeq<'_>]) {
 /// # Examples
 ///
 /// ```
-/// use pensieve_kernels::attention::multi::paged_multi_token;
-/// use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache};
+/// use pensieve_kernels::attention::multi::paged_multi_token_pool;
+/// use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache, Pool};
 ///
 /// let cfg = AttnConfig::new(2, 1, 4); // GQA: 2 query heads share 1 KV head.
 /// let layout = KvLayout { num_kv_heads: 1, head_dim: 4, block_size: 2 };
-/// let mut pool = PagedKvCache::new(layout, 1, 4);
+/// let mut kv = PagedKvCache::new(layout, 1, 4);
 /// let mut table = BlockTable::new(2);
 /// for i in 0..5 {
-///     let (b, s) = table.append_token(&mut pool).unwrap();
-///     pool.write_token(0, b, s, &[i as f32; 4], &[1.0; 4]);
+///     let (b, s) = table.append_token(&mut kv).unwrap();
+///     kv.write_token(0, b, s, &[i as f32; 4], &[1.0; 4]);
 /// }
 /// // A 2-token prefill chunk at the end of the 5-token context.
 /// let q = Matrix::zeros(2, cfg.q_width());
 /// let seq = AttnSeq { q_start: 0, q_len: 2, context_len: 5, table: &table };
-/// let out = paged_multi_token(&cfg, &q, &pool.layer(0), &[seq]);
+/// let out = paged_multi_token_pool(&cfg, &q, &kv.layer(0), &[seq], &Pool::serial());
 /// // Zero queries => uniform attention => output is the mean of V rows.
 /// assert!((out[(0, 0)] - 1.0).abs() < 1e-6);
 /// ```
-#[must_use]
-pub fn paged_multi_token(
-    cfg: &AttnConfig,
-    q: &Matrix,
-    layer: &KvLayerView<'_>,
-    seqs: &[AttnSeq<'_>],
-) -> Matrix {
-    check_batch(cfg, q, seqs);
-    let mut out = Matrix::zeros(q.rows(), cfg.q_width());
-    for seq in seqs {
-        let local = attend_seq(cfg, q, layer, seq);
-        merge_seq(seq, &local, &mut out);
-    }
-    out
-}
-
-/// Scalar reference for [`paged_multi_token`]: per-token `dot` calls, no
-/// slab access, no score batching. Kept as the accumulation-order-defining
-/// implementation the blocked and parallel kernels are tested against
-/// bit-for-bit.
-///
-/// # Panics
-///
-/// Same conditions as [`paged_multi_token`].
-#[must_use]
-pub fn paged_multi_token_ref(
-    cfg: &AttnConfig,
-    q: &Matrix,
-    layer: &KvLayerView<'_>,
-    seqs: &[AttnSeq<'_>],
-) -> Matrix {
-    check_batch(cfg, q, seqs);
-    let mut out = Matrix::zeros(q.rows(), cfg.q_width());
-    for seq in seqs {
-        attend_one_seq_ref(cfg, q, layer, seq, &mut out);
-    }
-    out
-}
-
-/// [`paged_multi_token`] with its per-sequence partitions fanned out over
-/// `threads` scoped workers.
-///
-/// Each partition is one (sub-)request: a disjoint band of output rows,
-/// computed independently into a partition-local buffer by the same
-/// blocked kernel, then merged back **sequentially in sequence order** —
-/// so the result is bit-identical to the serial kernel (and to
-/// [`paged_multi_token_ref`]) at every thread count, including when two
-/// sub-requests name overlapping query rows (last writer wins in both).
-///
-/// # Panics
-///
-/// Same conditions as [`paged_multi_token`].
-#[must_use]
-pub fn paged_multi_token_par(
-    cfg: &AttnConfig,
-    q: &Matrix,
-    layer: &KvLayerView<'_>,
-    seqs: &[AttnSeq<'_>],
-    threads: usize,
-) -> Matrix {
-    if threads <= 1 {
-        check_batch(cfg, q, seqs);
-        return paged_multi_token(cfg, q, layer, seqs);
-    }
-    paged_multi_token_pool(cfg, q, layer, seqs, &crossbeam::pool::Pool::global(threads))
-}
-
-/// Minimum per-partition work (in score-accumulate units, see
-/// [`attn_work_units`]) below which [`paged_multi_token_pool`] stays
-/// serial. Calibrated on the committed bench shapes: a 32-way generation
-/// batch at 1 k context (one query token per sequence, ~17 M units total)
-/// splits into partitions far below this bound and used to *regress* at
-/// 4 threads once dispatch overhead was charged, while a 256-token
-/// prefill chunk at the same context (~134 M units) clears it at every
-/// bench thread count. `tests::generation_shape_stays_serial` pins both
-/// decisions.
-pub const ATTN_MIN_PART_UNITS: u64 = 16 * 1024 * 1024;
-
-/// Estimated work of an attention batch: one unit per (query row,
-/// context position, output column) triple, summed over sequences. A
-/// deliberately coarse FLOP proxy — relative cost across batch shapes is
-/// all the serial-fallback decision needs.
-#[must_use]
-pub fn attn_work_units(cfg: &AttnConfig, seqs: &[AttnSeq<'_>]) -> u64 {
-    seqs.iter()
-        .map(|s| s.q_len as u64 * s.context_len as u64 * cfg.q_width() as u64)
-        .sum()
-}
-
-/// [`paged_multi_token_par`] against an explicit persistent [`Pool`]
-/// handle — the form the model layers use so every kernel call in an
-/// engine shares one set of parked workers.
-///
-/// Serial fallback: when the per-partition share of the batch's
-/// estimated work ([`attn_work_units`]` / threads`) falls below
-/// [`ATTN_MIN_PART_UNITS`], the batch runs on the calling thread. Small
-/// generation batches (one query token per sequence) land under the
-/// threshold, so they never pay partition dispatch; prefill chunks clear
-/// it and fan out. Both paths are bit-identical, so the decision affects
-/// time only.
-///
-/// [`Pool`]: crossbeam::pool::Pool
-///
-/// # Panics
-///
-/// Same conditions as [`paged_multi_token`].
 #[must_use]
 pub fn paged_multi_token_pool(
     cfg: &AttnConfig,
@@ -188,22 +98,84 @@ pub fn paged_multi_token_pool(
     {
         return paged_multi_token(cfg, q, layer, seqs);
     }
-    paged_multi_token_pool_ungated(cfg, q, layer, seqs, pool)
+    paged_multi_token_partitioned(cfg, q, layer, seqs, pool)
 }
 
-/// [`paged_multi_token_pool`] without the work-size gate: always fans
-/// one partition per sequence out over the pool (inline when the pool
-/// is serial). The cross-width bit-identity property tests drive this
-/// directly so batches far below [`ATTN_MIN_PART_UNITS`] still exercise
-/// the partitioned merge; production callers want the gated entry.
-///
-/// [`Pool`]: crossbeam::pool::Pool
+/// Scalar reference for [`paged_multi_token_pool`]: per-token `dot`
+/// calls, no slab access, no score batching. Kept as the
+/// accumulation-order-defining implementation the blocked kernel is
+/// tested against bit-for-bit at every pool width.
 ///
 /// # Panics
 ///
-/// Same conditions as [`paged_multi_token`].
+/// Same conditions as [`paged_multi_token_pool`].
 #[must_use]
-pub fn paged_multi_token_pool_ungated(
+pub fn paged_multi_token_ref(
+    cfg: &AttnConfig,
+    q: &Matrix,
+    layer: &KvLayerView<'_>,
+    seqs: &[AttnSeq<'_>],
+) -> Matrix {
+    check_batch(cfg, q, seqs);
+    let mut out = Matrix::zeros(q.rows(), cfg.q_width());
+    for seq in seqs {
+        attend_one_seq_ref(cfg, q, layer, seq, &mut out);
+    }
+    out
+}
+
+/// Minimum per-partition work (in score-accumulate units, see
+/// `attn_work_units`) below which [`paged_multi_token_pool`] stays
+/// serial. Calibrated on the committed bench shapes: a 32-way generation
+/// batch at 1 k context (one query token per sequence, ~17 M units total)
+/// splits into partitions far below this bound and used to *regress* at
+/// 4 threads once dispatch overhead was charged, while a 256-token
+/// prefill chunk at the same context (~134 M units) clears it at every
+/// bench thread count. `tests::generation_shape_stays_serial` pins both
+/// decisions.
+pub const ATTN_MIN_PART_UNITS: u64 = 16 * 1024 * 1024;
+
+/// Estimated work of an attention batch: one unit per (query row,
+/// context position, output column) triple, summed over sequences. A
+/// deliberately coarse FLOP proxy — relative cost across batch shapes is
+/// all the serial-fallback decision needs.
+fn attn_work_units(cfg: &AttnConfig, seqs: &[AttnSeq<'_>]) -> u64 {
+    seqs.iter()
+        .map(|s| s.q_len as u64 * s.context_len as u64 * cfg.q_width() as u64)
+        .sum()
+}
+
+/// The serial blocked kernel behind [`paged_multi_token_pool`]: one
+/// sequence after another on the calling thread.
+///
+/// # Panics
+///
+/// Same conditions as [`paged_multi_token_pool`].
+pub(crate) fn paged_multi_token(
+    cfg: &AttnConfig,
+    q: &Matrix,
+    layer: &KvLayerView<'_>,
+    seqs: &[AttnSeq<'_>],
+) -> Matrix {
+    check_batch(cfg, q, seqs);
+    let mut out = Matrix::zeros(q.rows(), cfg.q_width());
+    for seq in seqs {
+        let local = attend_seq(cfg, q, layer, seq);
+        merge_seq(seq, &local, &mut out);
+    }
+    out
+}
+
+/// The partition/merge body of [`paged_multi_token_pool`] without its
+/// work-size gate: always fans one partition per sequence out over the
+/// pool (inline when the pool is serial). The in-crate cross-width
+/// property tests drive it directly so batches far below
+/// [`ATTN_MIN_PART_UNITS`] still exercise the merge.
+///
+/// # Panics
+///
+/// Same conditions as [`paged_multi_token_pool`].
+pub(crate) fn paged_multi_token_partitioned(
     cfg: &AttnConfig,
     q: &Matrix,
     layer: &KvLayerView<'_>,
@@ -782,8 +754,12 @@ mod tests {
             let blocked = paged_multi_token(&cfg, &q, &pool.layer(0), &seqs);
             assert_eq!(blocked, reference, "blocked != ref h={heads}/{kv_heads}");
             for threads in [1usize, 2, 3, 4] {
-                let par = paged_multi_token_par(&cfg, &q, &pool.layer(0), &seqs, threads);
-                assert_eq!(par, reference, "par({threads}) != ref h={heads}/{kv_heads}");
+                let workers = crossbeam::pool::Pool::global(threads);
+                let par = paged_multi_token_pool(&cfg, &q, &pool.layer(0), &seqs, &workers);
+                assert_eq!(
+                    par, reference,
+                    "pool({threads}) != ref h={heads}/{kv_heads}"
+                );
             }
         }
     }

@@ -21,7 +21,7 @@ use crate::tensor::Matrix;
 /// single-token kernel.
 ///
 /// Semantics identical to
-/// [`paged_multi_token`](super::multi::paged_multi_token).
+/// [`paged_multi_token_pool`](super::multi::paged_multi_token_pool).
 ///
 /// # Panics
 ///

@@ -8,9 +8,9 @@
 //!
 //! Two implementations are provided: [`paged_single_token_ref`], the
 //! per-head context walk kept as the straw-man/reference (it re-reads every
-//! K/V block once per query head), and [`paged_single_token`], which walks
-//! the context once as contiguous `[block_size, kv_width]` slabs and reuses
-//! each loaded K/V row across the whole GQA group. Their outputs are
+//! K/V block once per query head), and [`paged_single_token_batch`], which
+//! walks each context once as contiguous `[block_size, kv_width]` slabs and
+//! reuses each loaded K/V row across the whole GQA group. Their outputs are
 //! **bit-identical**: every online-softmax state sees the same scores in
 //! the same (ascending-`t`) order.
 
@@ -28,8 +28,8 @@ fn check_single(cfg: &AttnConfig, q_row: &[f32], seq: &AttnSeq<'_>, out: &[f32])
     );
 }
 
-/// Scalar reference for [`paged_single_token`]: one full context walk per
-/// query head, per-token `dot` calls.
+/// Scalar reference for one row of [`paged_single_token_batch`]: one full
+/// context walk per query head, per-token `dot` calls.
 ///
 /// This is the accumulation-order-defining implementation the blocked
 /// kernel is tested against bit-for-bit, and the per-round cost model of
@@ -89,7 +89,7 @@ pub fn paged_single_token_ref(
 ///
 /// Panics if slice widths disagree with `cfg`, `context_len` is zero, or
 /// the block table is shorter than `context_len`.
-pub fn paged_single_token(
+fn paged_single_token(
     cfg: &AttnConfig,
     q_row: &[f32],
     layer: &KvLayerView<'_>,
@@ -154,7 +154,8 @@ pub fn paged_single_token(
     }
 }
 
-/// Batched single-token attention: one query row per request.
+/// Batched single-token attention: one query row per request, each
+/// computed by the blocked single-context walk.
 ///
 /// `q` holds one row per sequence in `seqs` order; each sequence must have
 /// `q_len == 1`. Returns `[seqs.len(), num_heads * head_dim]`.

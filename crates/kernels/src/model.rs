@@ -20,9 +20,7 @@ use rand::{Rng, SeedableRng};
 use crate::attention::multi::paged_multi_token_pool;
 use crate::attention::naive::naive_attention;
 use crate::attention::{AttnConfig, AttnSeq};
-use crate::ops::{
-    add_rows, apply_rope, layernorm, matmul, matmul_pool, matmul_ref, relu, rmsnorm, silu,
-};
+use crate::ops::{add_rows, apply_rope, layernorm, matmul_pool, matmul_ref, relu, rmsnorm, silu};
 use crate::paged::{BlockTable, KvLayout, OutOfBlocks, PagedKvCache};
 use crate::tensor::Matrix;
 
@@ -179,29 +177,7 @@ impl TinyModel {
     /// partitions are disjoint output regions merged sequentially in a
     /// fixed order. `0` is clamped to `1`.
     pub fn set_threads(&mut self, threads: usize) {
-        self.pool = if threads <= 1 {
-            Pool::serial()
-        } else {
-            Pool::global(threads)
-        };
-    }
-
-    /// Installs an explicit worker-pool handle (e.g. one owned by the
-    /// engine builder) instead of the process-wide pool.
-    pub fn set_pool(&mut self, pool: Pool) {
-        self.pool = pool;
-    }
-
-    /// Current worker-thread setting (see [`TinyModel::set_threads`]).
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// The worker pool backing the batched kernels.
-    #[must_use]
-    pub fn pool(&self) -> &Pool {
-        &self.pool
+        self.pool = Pool::global(threads);
     }
 
     /// The model configuration.
@@ -309,15 +285,9 @@ impl TinyModel {
             for r in 0..total_q {
                 self.normalize(xn.row_mut(r), &lw.norm1, &lw.norm1_bias);
             }
-            let mut q = matmul_pool(&xn, &lw.wq, &self.pool);
-            let mut k = matmul_pool(&xn, &lw.wk, &self.pool);
-            let v = matmul_pool(&xn, &lw.wv, &self.pool);
-            if self.cfg.position_embedding == PositionEmbedding::Rotary {
-                for (r, &pos) in positions.iter().enumerate() {
-                    apply_rope(q.row_mut(r), self.cfg.num_heads, self.cfg.head_dim, pos);
-                    apply_rope(k.row_mut(r), self.cfg.num_kv_heads, self.cfg.head_dim, pos);
-                }
-            }
+            let rope = (self.cfg.position_embedding == PositionEmbedding::Rotary)
+                .then_some(positions.as_slice());
+            let (q, k, v) = project_qkv(&xn, &lw.wq, &lw.wk, &lw.wv, &self.attn, rope, &self.pool);
             // Write this layer's K/V into the paged cache.
             for (r, &(b, s)) in slots.iter().enumerate() {
                 cache.write_token(li, b, s, k.row(r), v.row(r));
@@ -346,7 +316,7 @@ impl TinyModel {
             for r in 0..total_q {
                 self.normalize(xn.row_mut(r), &lw.norm2, &lw.norm2_bias);
             }
-            let mlp_out = self.mlp(&xn, lw);
+            let mlp_out = mlp_forward(self.cfg.activation, &xn, &lw.mlp, &self.pool);
             add_rows(&mut x, &mlp_out);
         }
 
@@ -357,31 +327,11 @@ impl TinyModel {
             let last_row = r0 + seq.total_query_tokens() - 1;
             let mut hrow = x.row(last_row).to_vec();
             self.normalize(&mut hrow, &self.final_norm, &self.final_norm_bias);
-            let logits = matmul(&Matrix::from_vec(1, h, hrow), &self.lm_head);
+            let logits = matmul_pool(&Matrix::from_vec(1, h, hrow), &self.lm_head, &self.pool);
             out.row_mut(i).copy_from_slice(logits.row(0));
             r0 += seq.total_query_tokens();
         }
         Ok(out)
-    }
-
-    fn mlp(&self, xn: &Matrix, lw: &LayerWeights) -> Matrix {
-        match self.cfg.activation {
-            Activation::Relu => {
-                let mut up = matmul_pool(xn, &lw.mlp[0], &self.pool);
-                for v in up.as_mut_slice() {
-                    *v = relu(*v);
-                }
-                matmul_pool(&up, &lw.mlp[1], &self.pool)
-            }
-            Activation::Silu => {
-                let mut gate = matmul_pool(xn, &lw.mlp[0], &self.pool);
-                let up = matmul_pool(xn, &lw.mlp[1], &self.pool);
-                for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
-                    *g = silu(*g) * u;
-                }
-                matmul_pool(&gate, &lw.mlp[2], &self.pool)
-            }
-        }
     }
 
     /// Stateless reference: processes `tokens` from scratch with dense,
@@ -453,6 +403,63 @@ impl TinyModel {
                 }
                 matmul_ref(&gate, &lw.mlp[2])
             }
+        }
+    }
+}
+
+/// Q, K and V projections of one layer's normalized input, with rotary
+/// embeddings applied at `rope`'s absolute positions (one per row) when
+/// the model is rotary. Head counts come from `attn`, so a
+/// tensor-parallel shard passes its shard-local geometry. The fast-path
+/// step shared by [`TinyModel::forward`] and every
+/// [`ShardRunner`](crate::tp::ShardRunner).
+pub(crate) fn project_qkv(
+    xn: &Matrix,
+    wq: &Matrix,
+    wk: &Matrix,
+    wv: &Matrix,
+    attn: &AttnConfig,
+    rope: Option<&[usize]>,
+    pool: &Pool,
+) -> (Matrix, Matrix, Matrix) {
+    let mut q = matmul_pool(xn, wq, pool);
+    let mut k = matmul_pool(xn, wk, pool);
+    let v = matmul_pool(xn, wv, pool);
+    if let Some(positions) = rope {
+        for (r, &pos) in positions.iter().enumerate() {
+            apply_rope(q.row_mut(r), attn.num_heads, attn.head_dim, pos);
+            apply_rope(k.row_mut(r), attn.num_kv_heads, attn.head_dim, pos);
+        }
+    }
+    (q, k, v)
+}
+
+/// The MLP block on one layer's normalized input: OPT's `[w_up, w_down]`
+/// ReLU MLP or Llama's `[w_gate, w_up, w_down]` gated SiLU MLP. The
+/// fast-path step shared by [`TinyModel::forward`] and every
+/// [`ShardRunner`](crate::tp::ShardRunner), whose column/row weight
+/// slices make the result a partial sum.
+pub(crate) fn mlp_forward(
+    activation: Activation,
+    xn: &Matrix,
+    mlp: &[Matrix],
+    pool: &Pool,
+) -> Matrix {
+    match activation {
+        Activation::Relu => {
+            let mut up = matmul_pool(xn, &mlp[0], pool);
+            for v in up.as_mut_slice() {
+                *v = relu(*v);
+            }
+            matmul_pool(&up, &mlp[1], pool)
+        }
+        Activation::Silu => {
+            let mut gate = matmul_pool(xn, &mlp[0], pool);
+            let up = matmul_pool(xn, &mlp[1], pool);
+            for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
+                *g = silu(*g) * u;
+            }
+            matmul_pool(&gate, &mlp[2], pool)
         }
     }
 }

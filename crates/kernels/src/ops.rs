@@ -1,12 +1,13 @@
 //! Elementary neural-network operators used by the functional transformer.
 //!
-//! The hot operator is [`matmul`]: a cache-blocked GEMM whose output is
-//! **bit-identical** to the scalar reference [`matmul_ref`] (same
-//! per-element accumulation order, only the iteration schedule and memory
-//! layout change). [`matmul_par`] additionally fans the row dimension out
-//! over a scoped worker pool; rows are disjoint output partitions, so it
-//! too is bit-identical. The remaining operators are straightforward
-//! scalar implementations — they are not on the critical path.
+//! The hot operator is GEMM. [`matmul_pool`] is its one production entry:
+//! a cache-blocked kernel whose output is **bit-identical** to the scalar
+//! reference [`matmul_ref`] (same per-element accumulation order, only the
+//! iteration schedule and memory layout change), fanned out by rows over a
+//! worker pool when the product is large enough to pay for dispatch. Rows
+//! are disjoint output partitions, so the pool width never changes a bit.
+//! The remaining operators are straightforward scalar implementations —
+//! they are not on the critical path.
 
 use crate::tensor::Matrix;
 
@@ -116,9 +117,9 @@ pub fn dot_lanes(k: &[f32], qt: &[f32], scores: &mut [f32]) {
 /// reference implementation.
 ///
 /// Kept deliberately naive: this triple loop defines the accumulation
-/// order (`p` ascending per output element) that the blocked and parallel
-/// variants must reproduce exactly, and the property tests compare them
-/// against it bit-for-bit.
+/// order (`p` ascending per output element) that [`matmul_pool`] must
+/// reproduce exactly at every pool width; the property tests compare the
+/// two bit-for-bit.
 ///
 /// # Panics
 ///
@@ -141,57 +142,26 @@ pub fn matmul_ref(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// `C = A * B` — cache-blocked GEMM, bit-identical to [`matmul_ref`].
+/// `C = A * B` — cache-blocked GEMM, bit-identical to [`matmul_ref`],
+/// with the row dimension fanned out over `pool`.
 ///
 /// `B` is packed into `[GEMM_KC, GEMM_NC]` column-tiles that stay L1
 /// resident while all rows of `A` stream against them, and the inner
-/// dimension is unrolled [`GEMM_PU`]-wide so each `C` element stays in a
+/// dimension is unrolled `GEMM_PU`-wide so each `C` element stays in a
 /// register across the unrolled accumulations. For every output element
 /// the additions happen in the same ascending-`p` order as the reference,
 /// so the result is exactly equal, not merely close.
 ///
-/// # Panics
-///
-/// Panics if the inner dimensions disagree.
-#[must_use]
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
-    if a.rows() * a.cols() * b.cols() < GEMM_MIN_VOLUME {
-        return matmul_ref(a, b);
-    }
-    matmul_rows(a, b, 0, a.rows())
-}
-
-/// `C = A * B` with the row dimension fanned out over `threads` workers.
-///
 /// Rows of `C` are disjoint output partitions computed independently by
-/// the blocked kernel and copied back in partition order, so the result is
-/// bit-identical to [`matmul`] (and therefore to [`matmul_ref`]) at every
-/// thread count.
+/// the blocked kernel and copied back in partition order, so the result
+/// is the same at every pool width. Serial fallback: the product stays on
+/// the calling thread when any per-partition share of the
+/// multiply-accumulate volume (`m * k * n / parts`) would fall below
+/// `GEMM_MIN_VOLUME`, or when there are too few rows to split — partition
+/// dispatch costs more than it saves on small generation-step products.
+/// Pass [`Pool::serial`] for the serial blocked kernel.
 ///
-/// # Panics
-///
-/// Panics if the inner dimensions disagree.
-#[must_use]
-pub fn matmul_par(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    if threads <= 1 {
-        assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
-        return matmul(a, b);
-    }
-    matmul_pool(a, b, &crossbeam::pool::Pool::global(threads))
-}
-
-/// [`matmul_par`] against an explicit persistent [`Pool`] handle — the
-/// form the model layers use so every kernel call in an engine shares one
-/// set of parked workers.
-///
-/// Serial fallback: the product stays on the calling thread when any
-/// per-partition share of the multiply-accumulate volume
-/// (`m * k * n / parts`) would fall below [`GEMM_MIN_VOLUME`], or when
-/// there are too few rows to split — partition dispatch costs more than
-/// it saves on small generation-step products.
-///
-/// [`Pool`]: crossbeam::pool::Pool
+/// [`Pool::serial`]: crossbeam::pool::Pool::serial
 ///
 /// # Panics
 ///
@@ -207,20 +177,32 @@ pub fn matmul_pool(a: &Matrix, b: &Matrix, pool: &crossbeam::pool::Pool) -> Matr
     if threads <= 1 || m < 2 * threads || volume / threads < GEMM_MIN_VOLUME {
         return matmul(a, b);
     }
-    matmul_pool_ungated(a, b, pool)
+    matmul_partitioned(a, b, pool)
 }
 
-/// [`matmul_pool`] without the work-size gate: always fans the row
-/// dimension out over the pool (inline when the pool is serial). The
-/// cross-width bit-identity property tests drive this directly so shapes
-/// below [`GEMM_MIN_VOLUME`] still exercise the partitioned merge;
-/// production callers want the gated entry.
+/// The serial blocked GEMM behind [`matmul_pool`]; products below
+/// `GEMM_MIN_VOLUME` take the (bit-identical) scalar reference instead.
 ///
 /// # Panics
 ///
 /// Panics if the inner dimensions disagree.
-#[must_use]
-pub fn matmul_pool_ungated(a: &Matrix, b: &Matrix, pool: &crossbeam::pool::Pool) -> Matrix {
+pub(crate) fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
+    if a.rows() * a.cols() * b.cols() < GEMM_MIN_VOLUME {
+        return matmul_ref(a, b);
+    }
+    matmul_rows(a, b, 0, a.rows())
+}
+
+/// The partition/merge body of [`matmul_pool`] without its work-size
+/// gate: always fans the row dimension out over the pool (inline when the
+/// pool is serial). The in-crate cross-width property tests drive it
+/// directly so shapes below `GEMM_MIN_VOLUME` still exercise the merge.
+///
+/// # Panics
+///
+/// Panics if the inner dimensions disagree.
+pub(crate) fn matmul_partitioned(a: &Matrix, b: &Matrix, pool: &crossbeam::pool::Pool) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
     let m = a.rows();
     if m == 0 {
@@ -252,7 +234,7 @@ pub fn matmul_pool_ungated(a: &Matrix, b: &Matrix, pool: &crossbeam::pool::Pool)
 
 /// Blocked GEMM over rows `lo..hi` of `A`, returning a `[hi - lo, n]`
 /// matrix. Shared by [`matmul`] and the per-thread partitions of
-/// [`matmul_par`].
+/// [`matmul_partitioned`].
 fn matmul_rows(a: &Matrix, b: &Matrix, lo: usize, hi: usize) -> Matrix {
     let (m, k, n) = (hi - lo, a.cols(), b.cols());
     let mut c = Matrix::zeros(m, n);
@@ -492,7 +474,8 @@ mod tests {
         let b = lcg_matrix(11, 96, 140);
         let want = matmul_ref(&a, &b);
         for threads in [1usize, 2, 3, 4, 8] {
-            assert_eq!(matmul_par(&a, &b, threads), want, "threads={threads}");
+            let pool = crossbeam::pool::Pool::global(threads);
+            assert_eq!(matmul_pool(&a, &b, &pool), want, "threads={threads}");
         }
     }
 

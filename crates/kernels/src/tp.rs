@@ -24,12 +24,12 @@
 use std::collections::HashMap;
 
 use crossbeam::pool::Pool;
-use pensieve_model::{Activation, ModelConfig, Norm, PositionEmbedding};
+use pensieve_model::{ModelConfig, Norm, PositionEmbedding};
 
 use crate::attention::multi::paged_multi_token_pool;
 use crate::attention::{AttnConfig, AttnSeq};
-use crate::model::{SegmentInput, TinyModel};
-use crate::ops::{apply_rope, layernorm, matmul, matmul_pool, relu, rmsnorm, silu};
+use crate::model::{mlp_forward, project_qkv, SegmentInput, TinyModel};
+use crate::ops::{add_rows, layernorm, matmul_pool, rmsnorm};
 use crate::paged::{BlockTable, KvLayout, OutOfBlocks, PagedKvCache};
 use crate::tensor::Matrix;
 
@@ -165,18 +165,14 @@ impl ShardRunner {
     }
 
     /// Sets the number of worker threads used *inside* this shard's
-    /// operators (blocked GEMM row partitions and attention
-    /// (sequence, KV-head) partitions).
+    /// operators (blocked GEMM row partitions and attention per-sequence
+    /// partitions).
     ///
     /// Orthogonal to tensor-parallel sharding: shards split the model,
     /// intra-shard threads split each shard's math. Results are
     /// bit-identical at every setting; `0` is clamped to `1`.
     pub fn set_threads(&mut self, threads: usize) {
-        self.pool = if threads <= 1 {
-            Pool::serial()
-        } else {
-            Pool::global(threads)
-        };
+        self.pool = Pool::global(threads);
     }
 
     /// Allocates KV slots for a pass over `conv` with the given query
@@ -227,25 +223,9 @@ impl ShardRunner {
     #[must_use]
     pub fn attn_partial(&mut self, l: usize, xn: &Matrix) -> Matrix {
         let lw = &self.layers[l];
-        let mut q = matmul_pool(xn, &lw.wq, &self.pool);
-        let mut k = matmul_pool(xn, &lw.wk, &self.pool);
-        let v = matmul_pool(xn, &lw.wv, &self.pool);
-        if self.cfg.position_embedding == PositionEmbedding::Rotary {
-            for r in 0..q.rows() {
-                apply_rope(
-                    q.row_mut(r),
-                    self.attn.num_heads,
-                    self.cfg.head_dim,
-                    self.positions[r],
-                );
-                apply_rope(
-                    k.row_mut(r),
-                    self.attn.num_kv_heads,
-                    self.cfg.head_dim,
-                    self.positions[r],
-                );
-            }
-        }
+        let rope = (self.cfg.position_embedding == PositionEmbedding::Rotary)
+            .then_some(self.positions.as_slice());
+        let (q, k, v) = project_qkv(xn, &lw.wq, &lw.wk, &lw.wv, &self.attn, rope, &self.pool);
         for (r, &(b, s)) in self.slots.iter().enumerate() {
             self.cache.write_token(l, b, s, k.row(r), v.row(r));
         }
@@ -270,33 +250,15 @@ impl ShardRunner {
     /// / gate, row-parallel down). Summed across shards by the caller.
     #[must_use]
     pub fn mlp_partial(&self, l: usize, xn: &Matrix) -> Matrix {
-        let lw = &self.layers[l];
-        match self.cfg.activation {
-            Activation::Relu => {
-                let mut up = matmul_pool(xn, &lw.mlp[0], &self.pool);
-                for v in up.as_mut_slice() {
-                    *v = relu(*v);
-                }
-                matmul_pool(&up, &lw.mlp[1], &self.pool)
-            }
-            Activation::Silu => {
-                let mut gate = matmul_pool(xn, &lw.mlp[0], &self.pool);
-                let up = matmul_pool(xn, &lw.mlp[1], &self.pool);
-                for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
-                    *g = silu(*g) * u;
-                }
-                matmul_pool(&gate, &lw.mlp[2], &self.pool)
-            }
-        }
+        mlp_forward(self.cfg.activation, xn, &self.layers[l].mlp, &self.pool)
     }
 
     /// This shard's slice of the output logits (all-gathered by the
     /// caller).
     #[must_use]
     pub fn lm_head_partial(&self, h: &[f32]) -> Vec<f32> {
-        matmul(&Matrix::from_vec(1, h.len(), h.to_vec()), &self.lm_head)
-            .row(0)
-            .to_vec()
+        let h = Matrix::from_vec(1, h.len(), h.to_vec());
+        matmul_pool(&h, &self.lm_head, &self.pool).row(0).to_vec()
     }
 }
 
@@ -468,26 +430,16 @@ impl TpModel {
             // The first all-reduce: sum attention partials across shards.
             let mut acc = Matrix::zeros(total_q, h);
             for shard in &mut self.shards {
-                let partial = shard.attn_partial(l, &xn);
-                for (a, p) in acc.as_mut_slice().iter_mut().zip(partial.as_slice()) {
-                    *a += p;
-                }
+                add_rows(&mut acc, &shard.attn_partial(l, &xn));
             }
-            for (xv, av) in x.as_mut_slice().iter_mut().zip(acc.as_slice()) {
-                *xv += av;
-            }
+            add_rows(&mut x, &acc);
             let xn = rep.norm2(l, &x);
             // The second all-reduce: sum MLP partials.
             let mut acc = Matrix::zeros(total_q, h);
             for shard in &self.shards {
-                let partial = shard.mlp_partial(l, &xn);
-                for (a, p) in acc.as_mut_slice().iter_mut().zip(partial.as_slice()) {
-                    *a += p;
-                }
+                add_rows(&mut acc, &shard.mlp_partial(l, &xn));
             }
-            for (xv, av) in x.as_mut_slice().iter_mut().zip(acc.as_slice()) {
-                *xv += av;
-            }
+            add_rows(&mut x, &acc);
         }
         // All-gather the vocabulary-sharded logits of the last token.
         let hrow = rep.final_norm(x.row(total_q - 1));

@@ -9,10 +9,10 @@
 
 use pensieve_kernels::attention::contiguous::fused_contiguous;
 use pensieve_kernels::attention::copyout::copyout_attention;
-use pensieve_kernels::attention::multi::paged_multi_token;
+use pensieve_kernels::attention::multi::paged_multi_token_pool;
 use pensieve_kernels::attention::multiround::multi_round_single_token;
 use pensieve_kernels::paged::gather_contiguous;
-use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache};
+use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache, Pool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,7 +80,7 @@ fn main() {
     ];
 
     let layer = pool.layer(0);
-    let pensieve = paged_multi_token(&cfg, &q, &layer, &seqs);
+    let pensieve = paged_multi_token_pool(&cfg, &q, &layer, &seqs, &Pool::serial());
     let copyout = copyout_attention(&cfg, &q, &layer, &seqs);
     let multiround = multi_round_single_token(&cfg, &q, &layer, &seqs);
 

@@ -20,7 +20,7 @@ pub mod model;
 /// A **persistent** worker pool for data-parallel kernels.
 ///
 /// Earlier revisions spawned and joined OS threads on every
-/// [`pool::map_partitions`] call (`std::thread::scope` fork/join), which
+/// [`pool::Pool::map_partitions`] call (`std::thread::scope` fork/join), which
 /// cost hundreds of microseconds per kernel invocation and erased the
 /// parallel path's gains — generation batches actually ran *slower* with
 /// more threads. A [`pool::Pool`] instead owns long-lived workers that
@@ -271,10 +271,10 @@ pub mod pool {
         }
 
         /// A process-wide shared pool of the given width, created on
-        /// first use and kept alive for the process lifetime. This backs
-        /// the thread-count-based compatibility entry points
-        /// ([`map_partitions`]) so legacy `threads: usize` call sites get
-        /// persistent workers without plumbing a handle.
+        /// first use and kept alive for the process lifetime, for owners
+        /// configured by a thread count rather than a pool handle (the
+        /// model's and shard runners' `set_threads`, the bench sweep):
+        /// they share persistent workers without plumbing one through.
         #[must_use]
         pub fn global(threads: usize) -> Pool {
             static POOLS: OnceLock<Mutex<BTreeMap<usize, Pool>>> = OnceLock::new();
@@ -535,29 +535,6 @@ pub mod pool {
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     }
-
-    /// Maps `f` over partitions `0..n`, using a process-wide persistent
-    /// pool of width `threads` (see [`Pool::global`]), and returns the
-    /// outputs in partition order. Compatibility entry point for call
-    /// sites that carry a thread count instead of a [`Pool`] handle; the
-    /// partitioning and merge-order contract is identical.
-    ///
-    /// With `threads <= 1` (or `n <= 1`) the map runs inline on the
-    /// calling thread — same results, no dispatch cost.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any partition.
-    pub fn map_partitions<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if threads <= 1 || n <= 1 {
-            return (0..n).map(f).collect();
-        }
-        Pool::global(threads).map_partitions(n, f)
-    }
 }
 
 /// Unbounded MPMC channels with disconnect semantics.
@@ -760,36 +737,37 @@ pub mod channel {
 #[cfg(test)]
 mod tests {
     use super::channel::{unbounded, RecvError, TryRecvError};
-    use super::pool::{map_partitions, Pool};
+    use super::pool::Pool;
 
     #[test]
     fn pool_results_in_partition_order() {
         for threads in [1usize, 2, 3, 4, 9] {
-            let got = map_partitions(threads, 7, |i| i * i);
+            let got = Pool::new(threads).map_partitions(7, |i| i * i);
             assert_eq!(got, vec![0, 1, 4, 9, 16, 25, 36], "threads={threads}");
         }
     }
 
     #[test]
     fn pool_handles_empty_and_singleton() {
-        assert_eq!(map_partitions(4, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(map_partitions(4, 1, |i| i + 10), vec![10]);
-        let p = Pool::new(4);
-        assert_eq!(p.map_partitions(0, |i| i), Vec::<usize>::new());
-        assert_eq!(p.map_partitions(1, |i| i + 10), vec![10]);
+        for threads in [1usize, 4] {
+            let p = Pool::new(threads);
+            assert_eq!(p.map_partitions(0, |i| i), Vec::<usize>::new());
+            assert_eq!(p.map_partitions(1, |i| i + 10), vec![10]);
+        }
     }
 
     #[test]
     fn pool_shares_borrowed_data() {
         let data: Vec<u64> = (0..100).collect();
-        let sums = map_partitions(3, 4, |p| data[p * 25..(p + 1) * 25].iter().sum::<u64>());
+        let sums =
+            Pool::new(3).map_partitions(4, |p| data[p * 25..(p + 1) * 25].iter().sum::<u64>());
         assert_eq!(sums.iter().sum::<u64>(), (0..100).sum());
     }
 
     #[test]
     fn pool_propagates_worker_panic() {
         let r = std::panic::catch_unwind(|| {
-            map_partitions(2, 4, |i| {
+            Pool::new(2).map_partitions(4, |i| {
                 assert!(i != 3, "boom");
                 i
             })

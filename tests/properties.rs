@@ -2,15 +2,13 @@
 
 use pensieve_core::{FunctionalConfig, FunctionalEngine};
 use pensieve_kernels::attention::contiguous::fused_contiguous;
-use pensieve_kernels::attention::multi::{
-    paged_multi_token, paged_multi_token_par, paged_multi_token_ref,
-};
+use pensieve_kernels::attention::multi::{paged_multi_token_pool, paged_multi_token_ref};
 use pensieve_kernels::attention::multiround::multi_round_single_token;
 use pensieve_kernels::attention::naive::naive_attention;
 use pensieve_kernels::attention::single::paged_single_token_batch;
-use pensieve_kernels::ops::{matmul, matmul_par, matmul_ref};
+use pensieve_kernels::ops::{matmul_pool, matmul_ref};
 use pensieve_kernels::paged::gather_contiguous;
-use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache};
+use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache, Pool};
 use pensieve_kvcache::{CacheConfig, LruPolicy, RetentionValuePolicy, SessionId, TieredKvCache};
 use pensieve_model::{CostModel, HardwareSpec, ModelConfig, ProfiledCostTable, SeqShape, SimTime};
 use proptest::prelude::*;
@@ -73,7 +71,7 @@ proptest! {
         let layer = pool.layer(0);
         let seq = AttnSeq { q_start: 0, q_len, context_len: ctx, table: &table };
 
-        let multi = paged_multi_token(&cfg, &q, &layer, &[seq]);
+        let multi = paged_multi_token_pool(&cfg, &q, &layer, &[seq], &Pool::serial());
         let rounds = multi_round_single_token(&cfg, &q, &layer, &[seq]);
         let (k, v) = gather_contiguous(&layer, &table, ctx);
         let fused = fused_contiguous(&cfg, &q, &k, &v);
@@ -84,9 +82,10 @@ proptest! {
         prop_assert!(fused.max_abs_diff(&reference) < 1e-4);
     }
 
-    /// The cache-blocked GEMM and its data-parallel variant reproduce the
-    /// scalar reference **bit-for-bit** on arbitrary shapes, straddling
-    /// both the small-volume fallback and the packing tile boundaries.
+    /// The cache-blocked GEMM, serial and fanned out over a pool of
+    /// `threads`, reproduces the scalar reference **bit-for-bit** on
+    /// arbitrary shapes, straddling the small-volume fallback, the
+    /// per-partition work gate, and the packing tile boundaries.
     #[test]
     fn blocked_and_parallel_matmul_bit_identical(
         seed in 0u64..1000,
@@ -101,14 +100,17 @@ proptest! {
         let b = Matrix::from_vec(
             k, n, (0..k * n).map(|_| rng.random_range(-1.0..1.0)).collect());
         let reference = matmul_ref(&a, &b);
-        prop_assert_eq!(&matmul(&a, &b), &reference);
-        prop_assert_eq!(&matmul_par(&a, &b, threads), &reference);
+        prop_assert_eq!(&matmul_pool(&a, &b, &Pool::serial()), &reference);
+        prop_assert_eq!(&matmul_pool(&a, &b, &Pool::global(threads)), &reference);
     }
 
-    /// The blocked and data-parallel attention kernels reproduce the
-    /// scalar reference **bit-for-bit** across random shapes, GQA ratios,
-    /// block sizes, and thread counts; decode batches (`q_len == 1`) also
-    /// cover the batched single-token fast path.
+    /// The blocked attention kernel reproduces the scalar reference
+    /// **bit-for-bit** across random shapes, GQA ratios, block sizes, and
+    /// pool widths; decode batches (`q_len == 1`) also cover the batched
+    /// single-token fast path. These shapes never clear
+    /// `ATTN_MIN_PART_UNITS`, so every width takes the serial fallback;
+    /// the in-crate `pool_bit_identity` proptests cover the partitioned
+    /// merge.
     #[test]
     fn blocked_and_parallel_attention_bit_identical(
         seed in 0u64..1000,
@@ -125,8 +127,12 @@ proptest! {
         let seq = AttnSeq { q_start: 0, q_len, context_len: ctx, table: &table };
 
         let reference = paged_multi_token_ref(&cfg, &q, &layer, &[seq]);
-        prop_assert_eq!(&paged_multi_token(&cfg, &q, &layer, &[seq]), &reference);
-        prop_assert_eq!(&paged_multi_token_par(&cfg, &q, &layer, &[seq], threads), &reference);
+        let serial = paged_multi_token_pool(&cfg, &q, &layer, &[seq], &Pool::serial());
+        prop_assert_eq!(&serial, &reference);
+        prop_assert_eq!(
+            &paged_multi_token_pool(&cfg, &q, &layer, &[seq], &Pool::global(threads)),
+            &reference
+        );
         if q_len == 1 {
             prop_assert_eq!(&paged_single_token_batch(&cfg, &q, &layer, &[seq]), &reference);
         }
@@ -134,7 +140,9 @@ proptest! {
 
     /// §4.3.4 dropped-token recomputation layout: two sub-requests sharing
     /// one block table with different context lengths stay bit-identical
-    /// to the scalar reference under the blocked and parallel kernels.
+    /// to the scalar reference under the blocked kernel at every pool
+    /// width (serial fallback at these shapes; the in-crate
+    /// `pool_bit_identity` proptests cover the partitioned merge).
     #[test]
     fn subrequest_attention_bit_identical(
         seed in 0u64..1000,
@@ -154,8 +162,12 @@ proptest! {
             AttnSeq { q_start: dropped, q_len: prompt, context_len: ctx, table: &table },
         ];
         let reference = paged_multi_token_ref(&cfg, &q, &layer, &seqs);
-        prop_assert_eq!(&paged_multi_token(&cfg, &q, &layer, &seqs), &reference);
-        prop_assert_eq!(&paged_multi_token_par(&cfg, &q, &layer, &seqs, threads), &reference);
+        let serial = paged_multi_token_pool(&cfg, &q, &layer, &seqs, &Pool::serial());
+        prop_assert_eq!(&serial, &reference);
+        prop_assert_eq!(
+            &paged_multi_token_pool(&cfg, &q, &layer, &seqs, &Pool::global(threads)),
+            &reference
+        );
     }
 
     /// Causality: perturbing KV beyond a query row's visible range never
@@ -168,16 +180,16 @@ proptest! {
     ) {
         let ctx = q_len + extra;
         let (cfg, mut pool, table, q) = build_case(seed, q_len, ctx, 4, 2, 8, 4);
-        let base = paged_multi_token(&cfg, &q, &pool.layer(0), &[AttnSeq {
+        let base = paged_multi_token_pool(&cfg, &q, &pool.layer(0), &[AttnSeq {
             q_start: 0, q_len, context_len: ctx, table: &table,
-        }]);
+        }], &Pool::serial());
         // Perturb the final context token (visible only to the last row).
         let (b, s) = table.position(ctx - 1);
         let tf = pool.layout().token_floats();
         pool.write_token(0, b, s, &vec![9.0; tf], &vec![-9.0; tf]);
-        let alt = paged_multi_token(&cfg, &q, &pool.layer(0), &[AttnSeq {
+        let alt = paged_multi_token_pool(&cfg, &q, &pool.layer(0), &[AttnSeq {
             q_start: 0, q_len, context_len: ctx, table: &table,
-        }]);
+        }], &Pool::serial());
         for j in 0..q_len - 1 {
             for c in 0..cfg.q_width() {
                 prop_assert!((base[(j, c)] - alt[(j, c)]).abs() < 1e-6,
